@@ -11,7 +11,10 @@ Every output is checked against the independent computations in
 checkers.py.
 
 With ``--trace 0`` the end-to-end metrics are printed: medians of the
-command wall times, and the largest peak resident memory of any command.
+command wall times, scaled to a fixed host speed by a calibration timed
+before each command (see ``calibrate``), and the largest peak resident
+memory of any command. Commands are started through spawn.py, so their
+peak memory leaves out this process's own.
 With ``--trace 1`` each round is one plain and one traced in-process pass
 (traced.py); the per-layer metrics come from the traced pass and the
 tracing overhead is the traced command time minus the plain one.
@@ -33,9 +36,12 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+
 import checkers
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+SPAWN = os.path.join(HERE, "spawn.py")
 CLI = ["-c", "import sys; from mec_bazaar.cli import main; sys.exit(main())"]
 MB = 1e6
 
@@ -92,12 +98,10 @@ class Flow:
                     str(spec["slots"]), "-o", self.scenario]
         for p in spec.get("params", []):
             self.gen += ["--param", p]
-        self.oracle = ["oracle", "--scenario", self.scenario,
+        self.oracle = ["oracle", "--scenario", self.scenario, "--slot", "0",
                        "-o", self.oracle_report]
         if self.certify:
             self.oracle += ["--result", self.bundles[0]]
-        else:
-            self.oracle += ["--slot", "0"]
 
     def run(self, k: int) -> list[str]:
         argv = ["run", "--scenario", self.scenario, "--out-dir",
@@ -174,21 +178,25 @@ class Runner:
         self.attempted = 0
         self.failed = 0
 
-    def time(self, argv: list[str], log: str) -> tuple[float, float]:
-        """(wall seconds, peak RSS in MB) of one child process."""
+    def time(self, argv: list[str], log: str) -> tuple[float, float] | None:
+        """(wall seconds, peak RSS in MB) of one child process.
+
+        None if the spawner itself failed and gave no figures.
+        """
         self.attempted += 1
-        with open(log, "ab") as err:
-            start = time.perf_counter()
-            proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL,
-                                    stderr=err, env=self.env)
-            _, status, usage = os.wait4(proc.pid, 0)
-            seconds = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode != 0:
+        proc = subprocess.run([sys.executable, SPAWN, log] + argv,
+                              stdout=subprocess.PIPE, env=self.env)
+        try:
+            result = json.loads(proc.stdout)
+        except ValueError:
+            result = {"exit": f"spawner {proc.returncode}"}
+        if result["exit"] != 0:
             self.failed += 1
-            print(f"FAILED (exit {proc.returncode}): {' '.join(argv)}",
+            print(f"FAILED (exit {result['exit']}): {' '.join(argv)}",
                   file=sys.stderr)
-        return seconds, usage.ru_maxrss * 1024 / MB
+        if "seconds" not in result:
+            return None
+        return result["seconds"], result["maxrss_kb"] * 1024 / MB
 
 
 def rounds(seconds: float, one_round) -> int:
@@ -205,33 +213,72 @@ def rounds(seconds: float, one_round) -> int:
             return done
 
 
+CAL_ARRAY = np.random.default_rng(0).random((1000, 24))
+# The calibration's time at the reference host speed. It is close to the
+# calibration's mean on the host of the README's figures, so scaled times
+# there stay within about a third of the raw ones.
+CAL_S = 0.05
+
+
+def calibrate() -> float:
+    """Seconds of a fixed computation that shares no code with the program.
+
+    It mixes interpreted Python, numpy sorts and JSON, as the commands do.
+    On a shared host its time follows the host's speed, which drifts by
+    up to a factor of two over minutes.
+    """
+    start = time.perf_counter()
+    total = 0
+    for i in range(200_000):
+        total += i * i % 7
+    for _ in range(20):
+        np.cumsum(np.sort(CAL_ARRAY, axis=1), axis=1)
+    json.loads(json.dumps(CAL_ARRAY[:400].tolist()))
+    return time.perf_counter() - start
+
+
 def end_to_end(flow: Flow, runner: Runner, checker: Checker,
                seconds: float) -> dict:
     cli = [sys.executable] + CLI
     log = os.path.join(flow.work, "stderr.log")
-    samples = {name: [] for name in END_TO_END}
+    samples = {name: [] for name in ("setup_s", "gen_s", "run_s",
+                                     "oracle_s")}
+    calibration = []
+
+    def timed(name, argv):
+        calibration.extend(calibrate() for _ in range(2))
+        sample = runner.time(cli + argv, log)
+        if sample is not None:
+            samples[name].append(sample)
 
     def one_round():
         for leg in range(2):
             for _ in range(2):
-                samples["setup_s"].append(
-                    runner.time(cli + ["--version"], log))
-            samples["gen_s"].append(runner.time(cli + flow.gen, log))
-            samples["run_s"].append(runner.time(cli + flow.run(leg), log))
+                timed("setup_s", ["--version"])
+            timed("gen_s", flow.gen)
+            timed("run_s", flow.run(leg))
             if leg < flow.oracles:
-                samples["oracle_s"].append(
-                    runner.time(cli + flow.oracle, log))
+                timed("oracle_s", flow.oracle)
         checker.check(flow, runs=2)
 
     n = rounds(seconds, one_round)
-    metrics = {name: statistics.median(s for s, _ in samples[name])
-               for name in ("setup_s", "gen_s", "run_s", "oracle_s")}
+    if not all(samples.values()):
+        checker.fail("a command gave no time in any round")
+        return {}
+    # Times are scaled to the host speed at which the calibration takes
+    # CAL_S seconds. The mean, not the median: a command of several
+    # seconds runs through the host's fast and slow spells in proportion,
+    # and the calibration times fall into two clusters, about 0.03 s and
+    # 0.05 s here.
+    speed = CAL_S / statistics.mean(calibration)
+    metrics = {name: speed * statistics.median(s for s, _ in values)
+               for name, values in samples.items()}
     metrics["peak_rss_mb"] = max(rss for v in samples.values()
                                  for _, rss in v)
     for name, values in samples.items():
-        if name != "peak_rss_mb":
-            print(f"{name}: {' '.join(f'{s:.3f}' for s, _ in values)}")
-    print(f"rounds: {n}")
+        print(f"{name}: {' '.join(f'{s:.3f}' for s, _ in values)}")
+    print(f"calibration_s: {' '.join(f'{c:.4f}' for c in calibration)}")
+    print(f"rounds: {n}; host speed factor {speed:.4f}")
     return metrics
 
 
@@ -299,16 +346,11 @@ def layer_metrics(doc: dict) -> dict:
                  "market_model.compute_agent_economics",
                  "equilibrium_oracle.solve_supplier_equilibrium",
                  "equilibrium_oracle.verify_supplier_equilibrium",
-                 "equilibrium_oracle.check_gradients"):
+                 "equilibrium_oracle.check_gradients",
+                 "equilibrium_oracle.best_response"):
         m[name + "_s"] = wall(name)
     m["bidding_games.loop_self_s"] = self_time(
         named("bidding_games.run_dtoa"))
-    # The oracle's customer stage: everything after the gradient check.
-    # With --result it is the best responses; without, the report write.
-    oracle = spans[named("cli.oracle")[0]]
-    gradients = max(spans[i][2] for i in
-                    named("equilibrium_oracle.check_gradients"))
-    m["equilibrium_oracle.best_response_s"] = oracle[2] - gradients
     for name in ("bidding_games.iterations",
                  "bidding_games.supplier_fixed_point_iterations",
                  "kernels.te_phase_calls",
@@ -316,8 +358,9 @@ def layer_metrics(doc: dict) -> dict:
                  "equilibrium_oracle.psi_calls",
                  "equilibrium_oracle.best_response_steps"):
         m[name] = counts.get(name, 0)
+    # Summed over the row chunks, so the thread count does not move it.
     m["kernels.te_phase_mb"] = (counts["kernels.te_phase_bytes"]
-                                / counts["kernels.te_phase_calls"] / MB)
+                                / counts["bidding_games.iterations"] / MB)
     for layer in LAYERS:
         m[layer + ".self_s"] = self_time(
             [i for i, s in enumerate(spans)
@@ -336,14 +379,25 @@ def traced(flow_of, runner: Runner, checker: Checker, seconds: float,
         os.makedirs(flow.work, exist_ok=True)
         plan = os.path.join(flow.work, "plan.json")
         out = os.path.join(flow.work, "pass.json")
+        commands = [["gen", flow.gen], ["run", flow.run(0)],
+                    ["oracle", flow.oracle]]
         with open(plan, "w", encoding="utf-8") as fh:
-            json.dump({"traced": mode == "traced",
-                       "commands": [["gen", flow.gen], ["run", flow.run(0)],
-                                    ["oracle", flow.oracle]]}, fh)
+            json.dump({"traced": mode == "traced", "commands": commands}, fh)
+        if os.path.exists(out):
+            os.remove(out)
         runner.time([sys.executable, os.path.join(HERE, "traced.py"), plan,
                      out], os.path.join(flow.work, "stderr.log"))
-        with open(out, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        try:
+            with open(out, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            # The pass died before writing its document: its commands
+            # count as failed and it gives no metrics.
+            runner.attempted += len(commands)
+            runner.failed += len(commands)
+            print(f"FAILED: {mode} pass wrote no document: {exc!r}",
+                  file=sys.stderr)
+            return
         for command in doc["commands"]:
             runner.attempted += 1
             if command["exit"] != 0:
@@ -358,6 +412,9 @@ def traced(flow_of, runner: Runner, checker: Checker, seconds: float,
         one_pass("traced")
 
     n = rounds(seconds, one_round)
+    if not passes["plain"] or not passes["traced"]:
+        checker.fail("no complete plain and traced pass to measure")
+        return {}
     per_pass = [layer_metrics(doc) for doc in passes["traced"]]
     metrics = {name: statistics.median(p[name] for p in per_pass)
                for name in per_pass[0]}

@@ -1,13 +1,13 @@
 """Run the benchmark on several seeds and report each metric's spread.
 
-    python3 perfbench/spread.py --workload NAME --seeds 1-10 [--trace 0|1]
-        [--seconds S] [--threads N] [--out FILE]
+    python3 perfbench/spread.py --workload NAME --seeds 1-10
 
-Runs ``perfbench/run.py`` once per seed, one run at a time, and prints for
-every metric the median, the quartiles and the spread: the distance
-between the first and the third quartile (``statistics.quantiles(n=4)``)
-as a share of the median. With ``--out`` the result lines of the runs are
-appended to FILE as ``workload seed json``.
+Run from the root of a source checkout. Runs ``perfbench/run.py`` with
+``--trace 0`` once per seed, one run at a time, for BENCHMARK.json's
+``run_seconds``, and prints for every metric the median, the quartiles
+and the spread: the distance between the first and the third quartile
+(``statistics.quantiles(n=4)``) as a share of the median. Each run's
+result line is printed as it ends.
 """
 
 from __future__ import annotations
@@ -34,35 +34,21 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_list, default="1-10")
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="run length (default: BENCHMARK.json's)")
     args = parser.parse_args()
-    seconds = args.seconds
-    if seconds is None:
-        with open("BENCHMARK.json", "r", encoding="utf-8") as fh:
-            seconds = json.load(fh)["run_seconds"]
+    with open("BENCHMARK.json", "r", encoding="utf-8") as fh:
+        seconds = json.load(fh)["run_seconds"]
 
     values: dict[str, list[float]] = {}
     units = {}
     for seed in args.seeds:
         argv = [sys.executable, os.path.join(HERE, "run.py"), "--workload",
                 args.workload, "--seed", str(seed), "--seconds",
-                str(seconds), "--trace", str(args.trace)]
-        if args.threads is not None:
-            argv += ["--threads", str(args.threads)]
+                str(seconds), "--trace", "0"]
         proc = subprocess.run(argv, stdout=subprocess.PIPE, text=True,
                               check=True)
         line = proc.stdout.strip().splitlines()[-1]
+        print(f"seed {seed}: {line}", flush=True)
         result = json.loads(line)
-        if not result["correct"] or result["failed"]:
-            print(f"seed {seed}: correct={result['correct']} "
-                  f"failed={result['failed']}", file=sys.stderr)
-        if args.out:
-            with open(args.out, "a", encoding="utf-8") as fh:
-                fh.write(f"{args.workload} {seed} {line}\n")
         for name, metric in result["metrics"].items():
             values.setdefault(name, []).append(metric["value"])
             units[name] = metric["unit"]

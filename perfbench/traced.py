@@ -100,7 +100,10 @@ def install(tracer: Tracer) -> None:
                      result[1])
 
     def te_phase_bytes(args, result):
-        nbytes = sum(getattr(a, "nbytes", 0) for a in args) + result.nbytes
+        # The per-customer arrays of the call's row chunk; the per-slot
+        # load and bid totals, which every chunk reads, are left out.
+        chi, base, w, alpha, _load, _totals, q, _eta2 = args
+        nbytes = sum(a.nbytes for a in (chi, base, w, alpha, q, result))
         tracer.count("kernels.te_phase_bytes", nbytes)
 
     tracer.span(cli, "run_dtoa", "bidding_games.run_dtoa",
