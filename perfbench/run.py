@@ -3,14 +3,13 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from the root of a source checkout; the program is taken from
-``src/`` there. Each round runs the user's flow twice, one process per
+``src/`` there. Each round runs the user's flow once, one process per
 command with default flags: ``--version`` (start-up and import), ``gen``,
-``run`` into one of two bundles, and ``oracle`` (see WORKLOADS). Rounds
-repeat while another one still fits in S seconds (at least one runs).
-Every output is checked against the independent computations in
-checkers.py.
+``run`` and ``oracle`` (see WORKLOADS and REPS). Rounds repeat while
+another one still fits in S seconds (at least one runs). Every output is
+checked against the independent computations in checkers.py.
 
-With ``--trace 0`` the end-to-end metrics are printed: medians of the
+With ``--trace 0`` the end-to-end metrics are printed: means of the
 command wall times, scaled to a fixed host speed by a calibration timed
 before each command (see ``calibrate``), and the largest peak resident
 memory of any command. Commands are started through spawn.py, so their
@@ -52,20 +51,26 @@ CERTIFY_SCHEDULE = ["solver.eta1_init=5.0", "solver.eta1_decay=1.0",
                     "solver.epsilon=1e-3", "solver.lambda_init=200.0",
                     "solver.max_iterations=300000"]
 
-# A round is two legs, each: --version twice, gen, run into its own
-# bundle, then oracle in the first ``oracles`` legs. Spreading each
-# command's samples over the round makes its median span the run rather
-# than a few seconds of it: on a shared machine command times drift with
-# the load. tiny-certify keeps criterion 9's market (seed 9) whatever
-# --seed is: on this schedule the iteration count is a property of the
-# market and spans 1765-14688 over seeds 1-30, so a seed-varied market
-# would make run_s measure the seed instead of the code.
+# wide's oracle makes 10 equilibrium probes, not the default 100: the
+# probes cost the same at every N (M=10, about 2.9 s) and reference
+# measures them, so on wide the oracle times what grows with N (scenario
+# load and gradient check) and a round takes about 20 s, two or three per
+# 60 s run. tiny-certify keeps criterion 9's market (seed 9) whatever --seed
+# is: on this schedule the iteration count is a property of the market
+# and spans 1765-14688 over seeds 1-30, so a seed-varied market would make
+# run_s measure the seed instead of the code.
 WORKLOADS = {
-    "reference": dict(tes=1000, ess=10, slots=24, oracles=2),
-    "wide": dict(tes=10000, ess=10, slots=24, oracles=2),
-    "tiny-certify": dict(tes=5, ess=3, slots=4, oracles=1,
-                         params=CERTIFY_SCHEDULE, seed=9, certify=True),
+    "reference": dict(tes=1000, ess=10, slots=24),
+    "wide": dict(tes=10000, ess=10, slots=24, probes=10,
+                 reps=dict(oracle_s=2)),
+    "tiny-certify": dict(tes=5, ess=3, slots=4, params=CERTIFY_SCHEDULE,
+                         seed=9, certify=True),
 }
+
+# A round runs each command this many times, in this order, unless the
+# workload's ``reps`` says otherwise. A sample's time varies by about 15%
+# on a shared host, so the short commands run twice for more samples.
+REPS = {"setup_s": 2, "gen_s": 2, "run_s": 1, "oracle_s": 1}
 
 # A run price may sit this far from the equilibrium on the certified
 # market: the bid step stops below 1e-3 on bids of a few hundred.
@@ -85,13 +90,11 @@ class Flow:
                  threads: int | None = None):
         spec = WORKLOADS[workload]
         self.work = work
-        self.threads = threads
         self.seed = spec.get("seed", seed)
         self.certify = spec.get("certify", False)
-        self.oracles = spec["oracles"]
+        self.reps = {**REPS, **spec.get("reps", {})}
         self.scenario = os.path.join(work, "scenario.json")
-        self.bundles = [os.path.join(work, "out_a"),
-                        os.path.join(work, "out_b")]
+        self.bundle = os.path.join(work, "out")
         self.oracle_report = os.path.join(work, "oracle.json")
         self.gen = ["gen", "--seed", str(self.seed), "--tes",
                     str(spec["tes"]), "--ess", str(spec["ess"]), "--slots",
@@ -100,15 +103,14 @@ class Flow:
             self.gen += ["--param", p]
         self.oracle = ["oracle", "--scenario", self.scenario, "--slot", "0",
                        "-o", self.oracle_report]
+        if "probes" in spec:
+            self.oracle += ["--probes", str(spec["probes"])]
         if self.certify:
-            self.oracle += ["--result", self.bundles[0]]
-
-    def run(self, k: int) -> list[str]:
-        argv = ["run", "--scenario", self.scenario, "--out-dir",
-                self.bundles[k]]
-        if self.threads is not None:
-            argv += ["--threads", str(self.threads)]
-        return argv
+            self.oracle += ["--result", self.bundle]
+        self.run = ["run", "--scenario", self.scenario, "--out-dir",
+                    self.bundle]
+        if threads is not None:
+            self.run += ["--threads", str(threads)]
 
 
 class Checker:
@@ -123,26 +125,23 @@ class Checker:
         self.errors.append(message)
         print(f"CHECK FAILED: {message}", file=sys.stderr)
 
-    def check(self, flow: Flow, runs: int):
+    def check(self, flow: Flow):
         try:
-            self._check(flow, runs)
+            self._check(flow)
         except (OSError, ValueError, KeyError) as exc:
             self.fail(f"cannot read outputs: {exc!r}")
 
-    def _check(self, flow: Flow, runs: int):
-        hashes = [_sha256(flow.scenario)]
-        for k in range(runs):
-            hashes.append(tuple(_sha256(os.path.join(flow.bundles[k], f))
-                                for f in checkers.Bundle.FILES))
-        if any(h != hashes[1] for h in hashes[2:]):
-            self.fail("bundles of repeated runs differ")
+    def _check(self, flow: Flow):
+        hashes = [_sha256(flow.scenario)] + [
+            _sha256(os.path.join(flow.bundle, f))
+            for f in checkers.Bundle.FILES]
         if self.hashes is None:
             self.hashes = hashes
             self.scenario = checkers.Scenario(flow.scenario)
         elif hashes != self.hashes:
             self.fail("scenario or bundle differs from the first round's")
         scenario = self.scenario
-        bundle = checkers.Bundle(flow.bundles[0], scenario)
+        bundle = checkers.Bundle(flow.bundle, scenario)
         for error in checkers.check_bundle(scenario, bundle):
             self.fail(error)
         with open(flow.oracle_report, "r", encoding="utf-8") as fh:
@@ -245,33 +244,34 @@ def end_to_end(flow: Flow, runner: Runner, checker: Checker,
                                      "oracle_s")}
     calibration = []
 
-    def timed(name, argv):
-        calibration.extend(calibrate() for _ in range(2))
-        sample = runner.time(cli + argv, log)
-        if sample is not None:
-            samples[name].append(sample)
+    argvs = {"setup_s": ["--version"], "gen_s": flow.gen,
+             "run_s": flow.run, "oracle_s": flow.oracle}
 
     def one_round():
-        for leg in range(2):
-            for _ in range(2):
-                timed("setup_s", ["--version"])
-            timed("gen_s", flow.gen)
-            timed("run_s", flow.run(leg))
-            if leg < flow.oracles:
-                timed("oracle_s", flow.oracle)
-        checker.check(flow, runs=2)
+        for name, argv in argvs.items():
+            for _ in range(flow.reps[name]):
+                if name == "run_s":
+                    # A run that writes nothing must not pass on the
+                    # previous round's bundle.
+                    shutil.rmtree(flow.bundle, ignore_errors=True)
+                calibration.extend(calibrate() for _ in range(2))
+                sample = runner.time(cli + argv, log)
+                if sample is not None:
+                    samples[name].append(sample)
+        checker.check(flow)
 
     n = rounds(seconds, one_round)
     if not all(samples.values()):
         checker.fail("a command gave no time in any round")
         return {}
     # Times are scaled to the host speed at which the calibration takes
-    # CAL_S seconds. The mean, not the median: a command of several
-    # seconds runs through the host's fast and slow spells in proportion,
-    # and the calibration times fall into two clusters, about 0.03 s and
-    # 0.05 s here.
+    # CAL_S seconds: each metric is the mean of its samples over the mean
+    # of the run's calibration times. Means, not medians: a command's
+    # samples and the calibration times each fall into a fast and a slow
+    # cluster, and a median jumps between them with the mix, while the
+    # ratio of the two means follows the share of slow spells in the run.
     speed = CAL_S / statistics.mean(calibration)
-    metrics = {name: speed * statistics.median(s for s, _ in values)
+    metrics = {name: speed * statistics.mean(s for s, _ in values)
                for name, values in samples.items()}
     metrics["peak_rss_mb"] = max(rss for v in samples.values()
                                  for _, rss in v)
@@ -379,12 +379,13 @@ def traced(flow_of, runner: Runner, checker: Checker, seconds: float,
         os.makedirs(flow.work, exist_ok=True)
         plan = os.path.join(flow.work, "plan.json")
         out = os.path.join(flow.work, "pass.json")
-        commands = [["gen", flow.gen], ["run", flow.run(0)],
+        commands = [["gen", flow.gen], ["run", flow.run],
                     ["oracle", flow.oracle]]
         with open(plan, "w", encoding="utf-8") as fh:
             json.dump({"traced": mode == "traced", "commands": commands}, fh)
         if os.path.exists(out):
             os.remove(out)
+        shutil.rmtree(flow.bundle, ignore_errors=True)
         runner.time([sys.executable, os.path.join(HERE, "traced.py"), plan,
                      out], os.path.join(flow.work, "stderr.log"))
         try:
@@ -404,7 +405,7 @@ def traced(flow_of, runner: Runner, checker: Checker, seconds: float,
                 runner.failed += 1
                 print(f"FAILED (exit {command['exit']}): {mode} "
                       f"{command['name']}", file=sys.stderr)
-        checker.check(flow, runs=1)
+        checker.check(flow)
         passes[mode].append(doc)
 
     def one_round():
@@ -432,13 +433,13 @@ def traced(flow_of, runner: Runner, checker: Checker, seconds: float,
 
     flow = flows["traced"]
     scenario = checker.scenario
-    bundle = checkers.Bundle(flow.bundles[0], scenario)
+    bundle = checkers.Bundle(flow.bundle, scenario)
     metrics["bidding_games.supplier_price_gap"] = checkers.price_gap(
         scenario, bundle.load, bundle.price)
     metrics["bidding_games.nash_gap"] = checkers.nash_gap(scenario, bundle)
     metrics["scenario_io.scenario_mb"] = os.path.getsize(flow.scenario) / MB
     metrics["scenario_io.bundle_mb"] = sum(
-        os.path.getsize(os.path.join(flow.bundles[0], f))
+        os.path.getsize(os.path.join(flow.bundle, f))
         for f in checkers.Bundle.FILES) / MB
     print(f"rounds: {n}; plain passes {plain:.3f} s of commands, "
           f"tracing overhead {overhead:+.3f} s")

@@ -7,7 +7,7 @@ Run from the root of a source checkout. Runs ``perfbench/run.py`` with
 ``run_seconds``, and prints for every metric the median, the quartiles
 and the spread: the distance between the first and the third quartile
 (``statistics.quantiles(n=4)``) as a share of the median. Each run's
-result line is printed as it ends.
+round count, host speed factor and result line are printed as it ends.
 """
 
 from __future__ import annotations
@@ -46,8 +46,11 @@ def main() -> int:
                 str(seconds), "--trace", "0"]
         proc = subprocess.run(argv, stdout=subprocess.PIPE, text=True,
                               check=True)
-        line = proc.stdout.strip().splitlines()[-1]
-        print(f"seed {seed}: {line}", flush=True)
+        lines = proc.stdout.strip().splitlines()
+        line = lines[-1]
+        rounds = [x for x in lines if x.startswith("rounds: ")]
+        print(f"seed {seed}: {rounds[-1] if rounds else ''}\n  {line}",
+              flush=True)
         result = json.loads(line)
         for name, metric in result["metrics"].items():
             values.setdefault(name, []).append(metric["value"])
