@@ -1,43 +1,17 @@
-"""Hot numeric kernels, in two interchangeable backends.
+"""Hot numeric kernels of the solver loop, vectorized in numpy.
 
 The solver's inner loop is three phases per iteration: a per-slot supplier
 bid update, a per-customer demand update, and batched simplex projection.
-Each phase has a numba ``@njit`` implementation and a pure-numpy one.
-
-Backend selection: set ``MEC_BAZAAR_BACKEND=numpy`` to force the fallback,
-``MEC_BAZAAR_BACKEND=numba`` to require the jit path (warns and falls back
-if numba is unavailable). Default is numba when importable. Both backends
-are deterministic run-to-run; they may differ from each other in the last
-few ulps because summation order differs.
+Every agent's update is computed at once, as whole-array operations over
+the bid matrix (M x T) and the demand matrix (N x T). The two ascent
+directions are kernels of their own, so the gradient check evaluates the
+same code the solver steps along. All kernels are deterministic.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-_requested = os.environ.get("MEC_BAZAAR_BACKEND", "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    warnings.warn(f"unknown MEC_BAZAAR_BACKEND={_requested!r}, using auto")
-    _requested = "auto"
-if _requested == "numba" and not HAVE_NUMBA:
-    warnings.warn("MEC_BAZAAR_BACKEND=numba but numba is not importable; "
-                  "falling back to numpy kernels")
-USE_NUMBA = HAVE_NUMBA and _requested != "numpy"
-
-
-# --------------------------------------------------------------------------
-# numpy backend
-# --------------------------------------------------------------------------
 
 def project_rows_np(cand: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Project each row of ``cand`` onto {x >= 0, sum x = total}.
@@ -58,143 +32,62 @@ def project_rows_np(cand: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return out
 
 
-def es_phase_np(lam, load, a2, a1, eta1, delta):
-    """One simultaneous bid-ascent step for every supplier at every slot.
+def es_direction(lam, load, a2, a1, delta):
+    """Every supplier's bid-ascent direction at every slot.
 
-    Returns (new_bids, new_bid_totals, refreshed_price, bad_slot) where
-    bad_slot is the first slot whose bids sum to zero (-1 if none). The
-    surrogate ascent direction is price - ((L-f)/(L-2f)) * C'(f), clamped
-    to -price once a supplier's share reaches (1/2 - delta) of the load.
+    price - ((L-f)/(L-2f)) * C'(f) with f the proportional share. On the
+    Lemma-1 region f < L/2 this has the sign of the true profit
+    derivative (they differ by the positive factor (L-2f)/sum(bids)).
+    Once a share reaches (1/2 - delta) of the load the factor blows up,
+    so the direction is clamped to -price, pushing the bid back toward
+    the stable region. The bids of each slot must not sum to zero.
     """
     totals = lam.sum(axis=0)
-    if np.any(totals <= 0.0):
-        return lam, totals, totals, int(np.argmax(totals <= 0.0))
     price = load / totals
     f = lam * (load / totals)
     guard = f >= (0.5 - delta) * load
     denom = np.where(guard, 1.0, load - 2.0 * f)
     marginal = 2.0 * a2[:, None] * f + a1[:, None]
-    surr = np.where(guard, -price,
-                    price - (load - f) / denom * marginal)
-    new_lam = np.maximum(lam + eta1 * surr, 0.0)
+    return np.where(guard, -price, price - (load - f) / denom * marginal)
+
+
+def es_phase(lam, load, a2, a1, eta1, delta):
+    """One simultaneous bid-ascent step for every supplier at every slot.
+
+    Returns (new_bids, new_bid_totals, refreshed_price, bad_slot) where
+    bad_slot is the first slot whose bids sum to zero (-1 if none). Bids
+    step along ``es_direction`` and are clipped at zero.
+    """
+    totals = lam.sum(axis=0)
+    if np.any(totals <= 0.0):
+        return lam, totals, totals, int(np.argmax(totals <= 0.0))
+    new_lam = np.maximum(
+        lam + eta1 * es_direction(lam, load, a2, a1, delta), 0.0)
     new_totals = new_lam.sum(axis=0)
     if np.any(new_totals <= 0.0):
-        return new_lam, new_totals, price, int(np.argmax(new_totals <= 0.0))
+        return (new_lam, new_totals, load / totals,
+                int(np.argmax(new_totals <= 0.0)))
     new_price = load / new_totals
     return new_lam, new_totals, new_price, -1
 
 
-def te_phase_np(chi, base, w, alpha, load, totals, q, eta2):
-    """One simultaneous demand-ascent step for every customer row.
+def te_gradient(chi, base, w, alpha, load, totals):
+    """Exact partial derivative of each customer's payoff in its demand.
 
-    Gradient of the slot payoff through the customer's own price impact:
-    U'(x) - (L + x) / sum(bids), then Euclidean re-projection of each row
-    onto its fixed daily total.
+    U'(x) - (L + x) / sum(bids) with x = chi + base, per customer and
+    slot; the second term carries the customer's own impact on the
+    clearing price. ``load`` and ``totals`` are per-slot.
     """
     x = chi + base
     up = np.where(x * alpha <= w, w - alpha * x, 0.0)
-    grad = up - (load + x) / totals
+    return up - (load + x) / totals
+
+
+def te_phase(chi, base, w, alpha, load, totals, q, eta2):
+    """One simultaneous demand-ascent step for every customer row.
+
+    Steps along ``te_gradient``, then projects each row back onto its
+    fixed daily total (Euclidean projection).
+    """
+    grad = te_gradient(chi, base, w, alpha, load, totals)
     return project_rows_np(chi + eta2 * grad, q)
-
-
-# --------------------------------------------------------------------------
-# numba backend
-# --------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def project_rows_nb(cand, totals):
-        r, t = cand.shape
-        out = np.empty_like(cand)
-        for i in range(r):
-            q = totals[i]
-            u = np.sort(cand[i].copy())
-            csum = 0.0
-            rho = -1
-            css_rho = 0.0
-            for k in range(t):
-                uk = u[t - 1 - k]
-                csum += uk
-                if uk * (k + 1.0) > csum - q:
-                    rho = k
-                    css_rho = csum
-            if rho < 0:
-                for k in range(t):
-                    out[i, k] = 0.0
-            else:
-                theta = (css_rho - q) / (rho + 1.0)
-                for k in range(t):
-                    v = cand[i, k] - theta
-                    out[i, k] = v if v > 0.0 else 0.0
-        return out
-
-    @njit(cache=True, nogil=True)
-    def es_phase_nb(lam, load, a2, a1, eta1, delta):
-        m, t = lam.shape
-        new_lam = np.empty_like(lam)
-        new_totals = np.empty(t)
-        price = np.empty(t)
-        for s in range(t):
-            tot = 0.0
-            for j in range(m):
-                tot += lam[j, s]
-            if tot <= 0.0:
-                return lam, new_totals, price, s
-            l_s = load[s]
-            p = l_s / tot
-            thresh = (0.5 - delta) * l_s
-            ntot = 0.0
-            for j in range(m):
-                f = lam[j, s] * l_s / tot
-                if f >= thresh:
-                    surr = -p
-                else:
-                    marginal = 2.0 * a2[j] * f + a1[j]
-                    surr = p - (l_s - f) / (l_s - 2.0 * f) * marginal
-                v = lam[j, s] + eta1 * surr
-                if v < 0.0:
-                    v = 0.0
-                new_lam[j, s] = v
-                ntot += v
-            if ntot <= 0.0:
-                return new_lam, new_totals, price, s
-            new_totals[s] = ntot
-            price[s] = l_s / ntot
-        return new_lam, new_totals, price, -1
-
-    @njit(cache=True, nogil=True)
-    def te_phase_nb(chi, base, w, alpha, load, totals, q, eta2):
-        n, t = chi.shape
-        cand = np.empty_like(chi)
-        for i in range(n):
-            for s in range(t):
-                x = chi[i, s] + base[i, s]
-                if x * alpha[i, s] <= w[i, s]:
-                    up = w[i, s] - alpha[i, s] * x
-                else:
-                    up = 0.0
-                g = up - (load[s] + x) / totals[s]
-                cand[i, s] = chi[i, s] + eta2 * g
-        return project_rows_nb(cand, q)
-
-else:  # pragma: no cover - exercised only without numba
-    project_rows_nb = None
-    es_phase_nb = None
-    te_phase_nb = None
-
-
-# --------------------------------------------------------------------------
-# dispatch
-# --------------------------------------------------------------------------
-
-if USE_NUMBA:
-    project_rows = project_rows_nb
-    es_phase = es_phase_nb
-    te_phase = te_phase_nb
-    BACKEND = "numba"
-else:
-    project_rows = project_rows_np
-    es_phase = es_phase_np
-    te_phase = te_phase_np
-    BACKEND = "numpy"

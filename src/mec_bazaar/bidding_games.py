@@ -10,12 +10,14 @@ matrices and consecutive bid matrices are each closer than epsilon in
 Frobenius norm. The bid half is the rule ``supplier_fixed_point``
 applies to the supplier game alone, so a converged run and the
 fixed-load baseline settle their bids by the same criterion.
+
+Each phase is one call to a vectorized kernel in ``_kernels``, which
+updates every supplier (or every customer) at once; this module holds the
+loop, the step schedule, the stopping rule and the trace.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,17 +31,12 @@ from .market_model import (
     SolverConfig,
     compute_agent_economics,
     compute_market_state,
-    es_cost_prime,
 )
 
 __all__ = [
     "IterationTrace",
     "EquilibriumResult",
-    "es_surrogate_gradient",
-    "es_update_step",
-    "te_gradient",
     "project_simplex",
-    "te_update_step",
     "run_dtoa",
     "supplier_fixed_point",
 ]
@@ -83,136 +80,17 @@ class EquilibriumResult:
     iterations_used: int
 
 
-# --------------------------------------------------------------------------
-# Single-agent update primitives (reference implementations; the solver
-# loop runs the vectorized kernels in _kernels)
-# --------------------------------------------------------------------------
-
-def es_surrogate_gradient(lambda_col, j: int, load: float, coeffs,
-                          guard: float = 1e-6) -> float:
-    """Supplier j's bid-ascent direction at one slot.
-
-    price - ((L - f_j)/(L - 2 f_j)) * C'_j(f_j) with f_j the proportional
-    share. On the Lemma-1 region f_j < L/2 this has the same sign as the
-    true profit derivative (they differ by the positive factor
-    (L - 2 f_j)/sum(bids)). Once f_j >= (1/2 - guard) * L the factor
-    blows up, so the direction is clamped to -price, pushing the bid back
-    toward the stable region.
-    """
-    lam = np.asarray(lambda_col, dtype=float)
-    total = lam.sum()
-    if total <= 0.0:
-        raise DegenerateMarketError("all bids are zero: gradient undefined")
-    price = load / total
-    f_j = lam[j] * load / total
-    if f_j >= (0.5 - guard) * load:
-        return float(-price)
-    marginal = es_cost_prime(coeffs, f_j)
-    return float(price - (load - f_j) / (load - 2.0 * f_j) * marginal)
-
-
-def es_update_step(bids: np.ndarray, t: int, loads: np.ndarray,
-                   scenario: Scenario, eta1: float) -> np.ndarray:
-    """One projected ascent step for every supplier at slot ``t``.
-
-    All suppliers step simultaneously from the old column; the result is
-    clipped at zero.
-    """
-    if eta1 <= 0:
-        raise DomainError("eta1 must be positive")
-    col = np.asarray(bids, dtype=float)[:, t]
-    grads = np.array([
-        es_surrogate_gradient(col, j, float(loads[t]),
-                              scenario.cost_coeffs[j],
-                              scenario.solver.singularity_delta)
-        for j in range(col.size)
-    ])
-    return np.maximum(col + eta1 * grads, 0.0)
-
-
-def te_gradient(chi: np.ndarray, base: np.ndarray, i: int, t: int,
-                lambda_col: np.ndarray, w: np.ndarray,
-                alpha: np.ndarray) -> float:
-    """Exact partial derivative of customer i's payoff in chi[i][t].
-
-    U'(x) - (L_t + x) / sum(bids) with x = chi[i][t] + r[i][t]; the second
-    term carries the customer's own impact on the clearing price.
-    """
-    lam = np.asarray(lambda_col, dtype=float)
-    total = lam.sum()
-    if total <= 0.0:
-        raise DegenerateMarketError("all bids are zero: gradient undefined")
-    x = float(chi[i, t] + base[i, t])
-    load = float(chi[:, t].sum() + base[:, t].sum())
-    w_it = float(np.asarray(w)[i, t])
-    a_it = float(np.asarray(alpha)[i, t])
-    marginal_utility = w_it - a_it * x if x * a_it <= w_it else 0.0
-    return marginal_utility - (load + x) / total
-
-
 def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection of ``v`` onto {x >= 0, sum x = total}."""
     if total < 0:
         raise DomainError("projection total must be nonnegative")
     v = np.asarray(v, dtype=float)
-    return _kernels.project_rows(v[None, :].copy(),
-                                 np.array([float(total)]))[0]
-
-
-def te_update_step(chi: np.ndarray, i: int, base: np.ndarray,
-                   bids: np.ndarray, eta2: float, w: np.ndarray,
-                   alpha: np.ndarray) -> np.ndarray:
-    """One projected ascent step of customer i's whole demand row."""
-    if eta2 <= 0:
-        raise DomainError("eta2 must be positive")
-    t_count = chi.shape[1]
-    grad = np.array([
-        te_gradient(chi, base, i, t, bids[:, t], w, alpha)
-        for t in range(t_count)
-    ])
-    total = float(chi[i].sum())
-    return project_simplex(chi[i] + eta2 * grad, total)
+    return _kernels.project_rows_np(v[None, :], np.array([float(total)]))[0]
 
 
 # --------------------------------------------------------------------------
 # Orchestration
 # --------------------------------------------------------------------------
-
-def _chunks(n: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, n))
-    step = math.ceil(n / parts)
-    return [(s, min(s + step, n)) for s in range(0, n, step)]
-
-
-def _run_es_phase(lam, load, a2, a1, eta1, delta, pool, slot_chunks):
-    if pool is None:
-        return _kernels.es_phase(lam, load, a2, a1, eta1, delta)
-    futures = [
-        pool.submit(_kernels.es_phase, lam[:, s:e].copy(), load[s:e],
-                    a2, a1, eta1, delta)
-        for s, e in slot_chunks
-    ]
-    parts = [f.result() for f in futures]
-    new_lam = np.concatenate([p[0] for p in parts], axis=1)
-    totals = np.concatenate([p[1] for p in parts])
-    price = np.concatenate([p[2] for p in parts])
-    for (s, _), p in zip(slot_chunks, parts):
-        if p[3] >= 0:
-            return new_lam, totals, price, s + p[3]
-    return new_lam, totals, price, -1
-
-
-def _run_te_phase(chi, base, w, alpha, load, totals, q, eta2, pool,
-                  row_chunks):
-    if pool is None:
-        return _kernels.te_phase(chi, base, w, alpha, load, totals, q, eta2)
-    futures = [
-        pool.submit(_kernels.te_phase, chi[s:e], base[s:e], w[s:e],
-                    alpha[s:e], load, totals, q[s:e], eta2)
-        for s, e in row_chunks
-    ]
-    return np.concatenate([f.result() for f in futures], axis=0)
-
 
 def _threshold(cfg: SolverConfig, current: np.ndarray) -> float:
     """Stopping bound for one game's step: epsilon, scaled by the norm of
@@ -222,7 +100,7 @@ def _threshold(cfg: SolverConfig, current: np.ndarray) -> float:
     return cfg.epsilon
 
 
-def run_dtoa(scenario: Scenario, threads: int = 1,
+def run_dtoa(scenario: Scenario,
              trace_stride: int = 0) -> EquilibriumResult:
     """Iterate both games from the scenario's initial profiles.
 
@@ -233,9 +111,7 @@ def run_dtoa(scenario: Scenario, threads: int = 1,
     moving toward its fixed point at that load.
 
     Deterministic for a fixed scenario: the initial demand comes from the
-    scenario's seeded draw, bids start at ``lambda_init``, and the result
-    is independent of ``threads`` (workers only split structurally
-    independent rows and columns).
+    scenario's seeded draw and bids start at ``lambda_init``.
     """
     scenario.validate()
     cfg = scenario.solver
@@ -259,48 +135,40 @@ def run_dtoa(scenario: Scenario, threads: int = 1,
     rec_eta2: list[float] = []
     snaps: tuple[list, list, list] = ([], [], [])
 
-    pool = ThreadPoolExecutor(threads) if threads > 1 else None
-    slot_chunks = _chunks(scenario.num_slots, threads)
-    row_chunks = _chunks(scenario.num_te, threads)
     status = STATUS_ITERATION_CAP
     iterations = 0
-    try:
-        for g in range(1, cfg.max_iterations + 1):
-            load = chi.sum(axis=0) + base.sum(axis=0)
-            lam_new, totals, price, bad = _run_es_phase(
-                lam, load, a2, a1, eta1, cfg.singularity_delta, pool,
-                slot_chunks)
-            if bad >= 0:
-                raise DegenerateMarketError(
-                    f"bids collapsed to zero at slot {bad}, iteration {g}",
-                    slot=bad, iteration=g)
-            chi_new = _run_te_phase(chi, base, w, alpha, load, totals, q,
-                                    eta2, pool, row_chunks)
-            delta = float(np.linalg.norm(chi_new - chi))
-            bid_delta = float(np.linalg.norm(lam_new - lam))
-            rec_iter.append(g)
-            rec_price.append(price)
-            rec_load.append(load)
-            rec_delta.append(delta)
-            rec_bid_delta.append(bid_delta)
-            rec_eta1.append(eta1)
-            rec_eta2.append(eta2)
-            chi = chi_new
-            lam = lam_new
-            iterations = g
-            if trace_stride and (g % trace_stride == 0 or g == 1):
-                snaps[0].append(g)
-                snaps[1].append(chi.copy())
-                snaps[2].append(lam.copy())
-            eta1 *= cfg.eta1_decay
-            eta2 *= cfg.eta2_decay
-            if (delta < _threshold(cfg, chi)
-                    and bid_delta < _threshold(cfg, lam)):
-                status = STATUS_CONVERGED
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for g in range(1, cfg.max_iterations + 1):
+        load = chi.sum(axis=0) + base.sum(axis=0)
+        lam_new, totals, price, bad = _kernels.es_phase(
+            lam, load, a2, a1, eta1, cfg.singularity_delta)
+        if bad >= 0:
+            raise DegenerateMarketError(
+                f"bids collapsed to zero at slot {bad}, iteration {g}",
+                slot=bad, iteration=g)
+        chi_new = _kernels.te_phase(chi, base, w, alpha, load, totals, q,
+                                    eta2)
+        delta = float(np.linalg.norm(chi_new - chi))
+        bid_delta = float(np.linalg.norm(lam_new - lam))
+        rec_iter.append(g)
+        rec_price.append(price)
+        rec_load.append(load)
+        rec_delta.append(delta)
+        rec_bid_delta.append(bid_delta)
+        rec_eta1.append(eta1)
+        rec_eta2.append(eta2)
+        chi = chi_new
+        lam = lam_new
+        iterations = g
+        if trace_stride and (g % trace_stride == 0 or g == 1):
+            snaps[0].append(g)
+            snaps[1].append(chi.copy())
+            snaps[2].append(lam.copy())
+        eta1 *= cfg.eta1_decay
+        eta2 *= cfg.eta2_decay
+        if (delta < _threshold(cfg, chi)
+                and bid_delta < _threshold(cfg, lam)):
+            status = STATUS_CONVERGED
+            break
 
     trace = IterationTrace(
         iteration=np.array(rec_iter, dtype=int),

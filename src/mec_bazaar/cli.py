@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, market_model
 from .bidding_games import STATUS_CONVERGED, run_dtoa
 from .errors import (
     DegenerateMarketError,
@@ -218,8 +218,7 @@ def cmd_run(args) -> int:
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
     try:
-        result = run_dtoa(scenario, threads=args.threads,
-                          trace_stride=args.trace_stride)
+        result = run_dtoa(scenario, trace_stride=args.trace_stride)
         baseline = compute_baseline(scenario)
     except DegenerateMarketError as exc:
         log.error("degenerate market: %s", exc)
@@ -350,12 +349,15 @@ def cmd_oracle(args) -> int:
         report["passed"] = False
 
     if args.result and bids is not None:
+        payoffs = market_model.compute_agent_economics(
+            demand, scenario.base_demand, bids, scenario.cost_coeffs,
+            scenario.utility_w, scenario.utility_alpha).te_payoff
         gains = []
         for i in range(scenario.num_te):
             _, gain = best_response(demand, scenario.base_demand, i, bids,
                                     scenario.utility_w,
                                     scenario.utility_alpha)
-            payoff = _payoff_of(scenario, demand, bids, i)
+            payoff = float(payoffs[i])
             gains.append({"te": i, "gain": gain,
                           "relative": gain / max(abs(payoff), 1e-300)})
         worst = max(g["relative"] for g in gains)
@@ -374,14 +376,6 @@ def cmd_oracle(args) -> int:
         return EXIT_IO
     print(out_path)
     return EXIT_OK if report["passed"] else EXIT_ORACLE_VIOLATION
-
-
-def _payoff_of(scenario, demand, bids, i) -> float:
-    from .market_model import compute_agent_economics
-    econ = compute_agent_economics(demand, scenario.base_demand, bids,
-                                   scenario.cost_coeffs, scenario.utility_w,
-                                   scenario.utility_alpha)
-    return float(econ.te_payoff[i])
 
 
 # --------------------------------------------------------------------------
@@ -419,7 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-iter", type=int, default=None)
     run.add_argument("--trace-stride", type=int, default=0)
     run.add_argument("--threads", type=int,
-                     default=max(1, os.cpu_count() or 1))
+                     default=max(1, os.cpu_count() or 1),
+                     help="accepted and ignored (the solver runs in one "
+                          "thread); recorded in manifest.json")
     run.add_argument("--param", action="append", default=[],
                      metavar="KEY=VALUE",
                      help="override solver fields after load")

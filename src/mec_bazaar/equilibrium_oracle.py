@@ -3,10 +3,15 @@
 The supplier game's unique equilibrium is characterized as the maximizer
 of a separable concave potential over the supply simplex. This module
 solves that program directly (nested bisections on the stationarity
-condition), evaluates the potential by adaptive quadrature, solves exact
-customer best responses, and cross-checks the solver's analytic
-derivatives against finite differences. Nothing here shares code with the
-iterative solver, so agreement between the two is meaningful evidence.
+condition), evaluates the potential by adaptive quadrature and solves
+exact customer best responses. The equilibrium solve shares no code with
+the iterative solver, so agreement between the two is meaningful
+evidence; ``best_response`` reuses only the solver's simplex projection.
+
+``check_gradients`` evaluates the solver's own direction kernels
+(``_kernels.te_gradient`` and ``_kernels.es_direction``) against
+independent central finite differences of the payoff functions in
+``market_model``, so it tests the code the solver runs.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from .errors import (
     NoEquilibriumError,
     TwoSupplierMarketError,
 )
-from .bidding_games import es_surrogate_gradient, project_simplex, te_gradient
+from . import _kernels
+from .bidding_games import project_simplex
 from .market_model import Scenario, es_cost, es_profit, te_utility
 
 __all__ = [
@@ -306,12 +312,15 @@ def _rel_err(a: float, b: float) -> float:
 
 def check_gradients(scenario: Scenario, n_samples: int = 100,
                     seed: int = 0) -> GradientCheckReport:
-    """Compare solver derivatives against central finite differences.
+    """Compare the solver's direction kernels with finite differences.
 
-    Samples random feasible states, then checks the customer gradient and
-    the analytic supplier profit derivative coordinate by coordinate, and
-    the sign of the supplier surrogate direction on the stable region
-    share < load/2 (states beyond it are counted separately).
+    Samples random feasible states and one customer, supplier and slot
+    per state. Checks ``_kernels.te_gradient`` against the finite
+    difference of the customer's slot payoff, and the supplier profit
+    derivative implied by ``_kernels.es_direction`` against the finite
+    difference of ``es_profit``, together with the direction's sign, on
+    the stable region share < load/2 (states beyond it are counted
+    separately). Both kernels are called on the sampled slot only.
     """
     if n_samples < 1:
         raise DomainError("need at least one sample")
@@ -319,6 +328,7 @@ def check_gradients(scenario: Scenario, n_samples: int = 100,
     n, m, t_count = scenario.num_te, scenario.num_es, scenario.num_slots
     base = scenario.base_demand
     w, alpha = scenario.utility_w, scenario.utility_alpha
+    a2, a1 = scenario.cost_coeffs[:, 0], scenario.cost_coeffs[:, 1]
     guard = scenario.solver.singularity_delta
     max_te = 0.0
     max_es = 0.0
@@ -338,7 +348,8 @@ def check_gradients(scenario: Scenario, n_samples: int = 100,
         load = float((chi[:, t] + base[:, t]).sum())
 
         # customer gradient vs finite difference of the slot payoff
-        analytic = te_gradient(chi, base, i, t, lam_col, w, alpha)
+        analytic = float(_kernels.te_gradient(
+            chi[i, t], base[i, t], w[i, t], alpha[i, t], load, total))
         other = load - chi[i, t] - base[i, t]
 
         def slot_payoff(v: float) -> float:
@@ -353,7 +364,8 @@ def check_gradients(scenario: Scenario, n_samples: int = 100,
         # supplier profit derivative vs finite difference
         coeffs = scenario.cost_coeffs[j]
         f_j = lam_col[j] * load / total
-        surrogate = es_surrogate_gradient(lam_col, j, load, coeffs, guard)
+        surrogate = float(_kernels.es_direction(
+            lam[:, t:t + 1], load, a2, a1, guard)[j, 0])
         hl = 1e-6 * lam_col[j]
 
         def profit_at(v: float) -> float:

@@ -27,8 +27,6 @@ from .errors import (
 __all__ = [
     "SolverConfig",
     "Scenario",
-    "BidMatrix",
-    "DemandMatrix",
     "PiecewiseBid",
     "MarketState",
     "AgentEconomics",
@@ -138,6 +136,11 @@ class Scenario:
             if arr.shape != expect:
                 raise DimensionError(
                     f"{name} has shape {arr.shape}, expected {expect}")
+        # NaN fails every comparison below without raising, so check first
+        bad = [name for name, (arr, _) in shapes.items()
+               if not np.all(np.isfinite(arr))]
+        if bad:
+            raise DomainError(f"non-finite values in {', '.join(bad)}")
         if np.any(self.cost_coeffs[:, 0] <= 0):
             raise DomainError("cost_coeffs: a2 must be positive")
         if np.any(self.cost_coeffs[:, 1:] < 0):
@@ -158,40 +161,6 @@ class Scenario:
             raise DomainError(
                 "initial_demand row sums must equal shiftable_total")
         self.solver.validate()
-
-
-@dataclass
-class BidMatrix:
-    """Affine supply slopes, one per supplier per slot (M x T)."""
-
-    values: np.ndarray
-
-    def validate(self) -> None:
-        if self.values.ndim != 2:
-            raise DimensionError("bid matrix must be two-dimensional")
-        if np.any(self.values < 0):
-            raise DomainError("bids must be nonnegative")
-
-
-@dataclass
-class DemandMatrix:
-    """Shiftable demand, one row per customer (N x T).
-
-    Row i must sum to that customer's fixed daily total.
-    """
-
-    values: np.ndarray
-    totals: np.ndarray
-
-    def validate(self) -> None:
-        if self.values.ndim != 2 or self.totals.shape != (self.values.shape[0],):
-            raise DimensionError("demand matrix and totals do not conform")
-        if np.any(self.values < 0):
-            raise DomainError("demand must be nonnegative")
-        sums = self.values.sum(axis=1)
-        scale = np.maximum(np.abs(self.totals), 1.0)
-        if np.any(np.abs(sums - self.totals) > 1e-9 * scale):
-            raise DomainError("demand rows must sum to the daily totals")
 
 
 @dataclass

@@ -23,6 +23,7 @@ from .market_model import (
     compute_agent_economics,
     compute_market_state,
 )
+from .scenario_io import _write_csv
 
 __all__ = [
     "par",
@@ -123,15 +124,6 @@ def build_report(scenario: Scenario, baseline: BaselineResult,
         baseline_converged=baseline.converged,
         runtime_seconds=runtime_seconds,
     )
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                repr(v) if isinstance(v, float) else str(v)
-                for v in row) + "\n")
 
 
 def emit(report: ComparisonReport, out_dir: str, fmt: str = "csv") -> dict:

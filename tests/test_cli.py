@@ -122,6 +122,20 @@ class TestRun:
         assert "degenerate" in out.stderr.lower()
         assert "slot" in out.stderr
 
+    def test_non_finite_scenario_rejected(self, tmp_path):
+        path = tmp_path / "nan.json"
+        save_scenario(path, generate_scenario(GenerationParams(
+            num_te=20, num_es=3, num_slots=4, seed=1)))
+        doc = json.loads(path.read_text())
+        doc["base_demand"][0][0] = float("nan")
+        doc["utility_w"][1][1] = float("inf")
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        out = cli("run", "--scenario", str(path), "--out-dir", str(out_dir))
+        assert out.returncode == 1
+        assert "utility_w" in out.stderr and "base_demand" in out.stderr
+        assert not (out_dir / "result.json").exists()
+
     def test_missing_scenario(self, tmp_path):
         out = cli("run", "--scenario", str(tmp_path / "nope.json"),
                   "--out-dir", str(tmp_path / "o"))

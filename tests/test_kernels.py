@@ -1,31 +1,11 @@
-"""Backend parity tests: numba kernels versus the numpy fallback."""
-
-import os
-import subprocess
-import sys
+"""Tests of the solver's phase kernels: projection and degenerate cases."""
 
 import numpy as np
-import pytest
 
 from mec_bazaar import _kernels
 
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA,
-                                 reason="numba not installed")
-
-
 class TestProjectRowsParity:
-    @needs_numba
-    def test_random_batches_agree(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            r, t = int(rng.integers(1, 40)), int(rng.integers(1, 30))
-            cand = rng.normal(0.0, 5.0, size=(r, t))
-            totals = rng.uniform(0.0, 10.0, size=r)
-            a = _kernels.project_rows_np(cand, totals)
-            b = _kernels.project_rows_nb(cand, totals)
-            np.testing.assert_allclose(a, b, atol=1e-12)
-
     def test_feasibility(self):
         rng = np.random.default_rng(2)
         cand = rng.normal(0.0, 100.0, size=(50, 24))
@@ -42,110 +22,28 @@ class TestProjectRowsParity:
 
 
 class TestPhaseParity:
-    def _state(self, seed=3):
-        rng = np.random.default_rng(seed)
-        m, n, t = 5, 40, 8
-        lam = rng.uniform(10.0, 100.0, size=(m, t))
-        chi = rng.uniform(0.0, 50.0, size=(n, t))
-        base = rng.uniform(10.0, 100.0, size=(n, t))
-        w = rng.uniform(0.8, 1.0, size=(n, t))
-        alpha = np.full((n, t), 0.5)
-        a2 = rng.uniform(1e-4, 1e-2, size=m)
-        a1 = np.full(m, 0.001)
-        q = chi.sum(axis=1)
-        load = (chi + base).sum(axis=0)
-        return lam, chi, base, w, alpha, a2, a1, q, load
-
-    @needs_numba
-    def test_es_phase_agrees(self):
-        lam, chi, base, w, alpha, a2, a1, q, load = self._state()
-        out_np = _kernels.es_phase_np(lam, load, a2, a1, 0.05, 1e-6)
-        out_nb = _kernels.es_phase_nb(lam, load, a2, a1, 0.05, 1e-6)
-        assert out_np[3] == out_nb[3] == -1
-        np.testing.assert_allclose(out_np[0], out_nb[0], rtol=1e-12)
-        np.testing.assert_allclose(out_np[2], out_nb[2], rtol=1e-12)
-
-    @needs_numba
-    def test_te_phase_agrees(self):
-        lam, chi, base, w, alpha, a2, a1, q, load = self._state(11)
-        totals = lam.sum(axis=0)
-        out_np = _kernels.te_phase_np(chi, base, w, alpha, load, totals, q,
-                                      0.01)
-        out_nb = _kernels.te_phase_nb(chi, base, w, alpha, load, totals, q,
-                                      0.01)
-        np.testing.assert_allclose(out_np, out_nb, rtol=1e-12, atol=1e-12)
-
     def test_es_phase_reports_degenerate_slot(self):
         lam = np.zeros((3, 4))
         lam[:, :2] = 1.0
-        out = _kernels.es_phase_np(lam, np.ones(4), np.full(3, 1e-4),
-                                   np.full(3, 1e-3), 0.05, 1e-6)
+        out = _kernels.es_phase(lam, np.ones(4), np.full(3, 1e-4),
+                                np.full(3, 1e-3), 0.05, 1e-6)
         assert out[3] == 2
 
     def test_es_phase_zero_load_freezes_bids(self):
         lam = np.full((3, 2), 7.0)
-        out = _kernels.es_phase_np(lam, np.array([0.0, 0.0]),
-                                   np.full(3, 1e-4), np.full(3, 1e-3),
-                                   0.05, 1e-6)
+        out = _kernels.es_phase(lam, np.array([0.0, 0.0]),
+                                np.full(3, 1e-4), np.full(3, 1e-3),
+                                0.05, 1e-6)
         np.testing.assert_array_equal(out[0], lam)
         np.testing.assert_array_equal(out[2], [0.0, 0.0])
 
     def test_surrogate_guard_matches_reference(self):
-        from mec_bazaar.bidding_games import es_surrogate_gradient
+        # supplier 0's share is 10 of the load 12, beyond half of it, so
+        # its direction is clamped to -price = -12 / 12
         lam = np.array([[10.0], [1.0], [1.0]])
-        out = _kernels.es_phase_np(lam, np.array([12.0]),
-                                   np.array([0.01, 0.01, 0.01]),
-                                   np.zeros(3), 1.0, 1e-6)
-        expected = np.array([
-            es_surrogate_gradient(lam[:, 0], j, 12.0, (0.01, 0.0, 0.0),
-                                  guard=1e-6)
-            for j in range(3)
-        ])
-        np.testing.assert_allclose(out[0][:, 0], lam[:, 0] + expected,
-                                   rtol=1e-12)
-
-
-class TestBackendSelection:
-    def _backend_in_subprocess(self, env_value):
-        env = dict(os.environ)
-        if env_value is None:
-            env.pop("MEC_BAZAAR_BACKEND", None)
-        else:
-            env["MEC_BAZAAR_BACKEND"] = env_value
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from mec_bazaar import _kernels; print(_kernels.BACKEND)"],
-            capture_output=True, text=True, env=env, check=True)
-        return out.stdout.strip()
-
-    def test_env_flag_forces_numpy(self):
-        assert self._backend_in_subprocess("numpy") == "numpy"
-
-    @needs_numba
-    def test_default_is_numba(self):
-        assert self._backend_in_subprocess(None) == "numba"
-
-    @needs_numba
-    def test_run_results_agree_across_backends(self):
-        # full solver run under both backends; not bit-identical, but far
-        # inside solver tolerance
-        code = (
-            "import numpy as np\n"
-            "from mec_bazaar.scenario_io import GenerationParams, "
-            "generate_scenario\n"
-            "from mec_bazaar.bidding_games import run_dtoa\n"
-            "s = generate_scenario(GenerationParams(num_te=20, num_es=3, "
-            "num_slots=5, seed=6))\n"
-            "r = run_dtoa(s)\n"
-            "print(repr(float(np.sum(r.demand))), r.iterations_used)\n"
-        )
-        outs = {}
-        for backend in ("numpy", "numba"):
-            env = dict(os.environ, MEC_BAZAAR_BACKEND=backend)
-            res = subprocess.run([sys.executable, "-c", code],
-                                 capture_output=True, text=True, env=env,
-                                 check=True)
-            total, iters = res.stdout.split()
-            outs[backend] = (float(total), int(iters))
-        assert outs["numpy"][1] == outs["numba"][1]
-        assert outs["numpy"][0] == pytest.approx(outs["numba"][0], rel=1e-9)
+        load = np.array([12.0])
+        a2 = np.array([0.01, 0.01, 0.01])
+        direction = _kernels.es_direction(lam, load, a2, np.zeros(3), 1e-6)
+        assert direction[0, 0] == -1.0
+        out = _kernels.es_phase(lam, load, a2, np.zeros(3), 1.0, 1e-6)
+        assert out[0][0, 0] == 9.0

@@ -306,25 +306,6 @@ class TestInvariants:
                                    rtol=1e-9)
 
 
-class TestStrategyMatrixTypes:
-    def test_bid_matrix(self):
-        from mec_bazaar.market_model import BidMatrix
-        BidMatrix(np.ones((2, 3))).validate()
-        with pytest.raises(DomainError):
-            BidMatrix(np.array([[1.0, -0.1]])).validate()
-        with pytest.raises(DimensionError):
-            BidMatrix(np.ones(3)).validate()
-
-    def test_demand_matrix(self):
-        from mec_bazaar.market_model import DemandMatrix
-        values = np.array([[1.0, 2.0], [0.5, 0.5]])
-        DemandMatrix(values, values.sum(axis=1)).validate()
-        with pytest.raises(DomainError):
-            DemandMatrix(values, np.array([3.0, 2.0])).validate()
-        with pytest.raises(DomainError):
-            DemandMatrix(np.array([[1.0, -1.0]]), np.array([0.0])).validate()
-
-
 class TestScenarioValidation:
     def base(self):
         return generate_scenario(GenerationParams(
@@ -344,6 +325,16 @@ class TestScenarioValidation:
         s.cost_coeffs[0, 0] = -1.0
         with pytest.raises(DomainError):
             s.validate()
+
+    def test_non_finite_values(self):
+        # NaN passes every sign check, so finiteness is checked on its own
+        for name, value in (("base_demand", math.nan),
+                            ("utility_w", math.inf),
+                            ("cost_coeffs", -math.inf)):
+            s = self.base()
+            getattr(s, name)[0, 0] = value
+            with pytest.raises(DomainError, match=name):
+                s.validate()
 
     def test_row_sum_mismatch(self):
         s = self.base()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mec_bazaar import _kernels
 from mec_bazaar.bidding_games import run_dtoa
 from mec_bazaar.equilibrium_oracle import (
     best_response,
@@ -228,6 +229,16 @@ class TestCheckGradients:
         assert found is not None, "no sample tripped the guard region"
         assert found.interior_samples + found.guarded_samples == 30
         assert found.sign_agreement == 1.0
+
+    @pytest.mark.parametrize("kernel", ["te_gradient", "es_direction"])
+    def test_checks_the_solver_kernel(self, monkeypatch, kernel):
+        # a sign error in a kernel the solver runs must fail the check
+        s = generate_scenario(GenerationParams(
+            num_te=12, num_es=4, num_slots=6, seed=7))
+        assert check_gradients(s, n_samples=20, seed=5).passed()
+        inner = getattr(_kernels, kernel)
+        monkeypatch.setattr(_kernels, kernel, lambda *a: -inner(*a))
+        assert not check_gradients(s, n_samples=20, seed=5).passed()
 
     def test_sample_count_validated(self):
         s = generate_scenario(GenerationParams(
