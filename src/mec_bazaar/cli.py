@@ -227,6 +227,9 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return EXIT_DEGENERATE
     runtime = time.perf_counter() - t0
+    if not baseline.converged:
+        log.warning("baseline supplier game stopped unconverged at its "
+                    "iteration cap (%d)", baseline.iterations)
 
     try:
         paths = save_result(args.out_dir, result, scenario)
@@ -245,6 +248,8 @@ def cmd_run(args) -> int:
             "runtime_seconds": runtime,
             "status": result.status,
             "iterations": result.iterations_used,
+            "baseline_converged": baseline.converged,
+            "baseline_iterations": baseline.iterations,
         }
         manifest_path = os.path.join(args.out_dir, "manifest.json")
         with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -267,23 +272,33 @@ def cmd_run(args) -> int:
 # oracle
 # --------------------------------------------------------------------------
 
-def _load_result_demand(result_dir: str, scenario: Scenario) -> tuple:
-    """Read final demand and bids back from a result bundle's CSVs."""
-    demand = np.array(scenario.initial_demand, copy=True)
-    path = os.path.join(result_dir, "demands.csv")
+def _read_grid(path: str, shape: tuple[int, int], fields: int) -> np.ndarray:
+    """Read an ``id,slot,...,value`` CSV of a result bundle into a matrix.
+
+    Each (id, slot) pair must appear exactly once and in range; anything
+    else raises ValueError naming the file and line.
+    """
+    out = np.empty(shape)
+    seen = np.zeros(shape, dtype=bool)
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()  # header
-        for line in fh:
-            te, slot, _, after = line.rstrip("\n").split(",")
-            demand[int(te), int(slot)] = float(after)
-    bids = np.zeros((scenario.num_es, scenario.num_slots))
-    path = os.path.join(result_dir, "bids.csv")
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()  # header
-        for line in fh:
-            es, slot, lam = line.rstrip("\n").split(",")
-            bids[int(es), int(slot)] = float(lam)
-    return demand, bids
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.rstrip("\n").split(",")
+            try:
+                if len(cells) != fields:
+                    raise ValueError(f"expected {fields} fields")
+                row, slot = int(cells[0]), int(cells[1])
+                if not (0 <= row < shape[0] and 0 <= slot < shape[1]):
+                    raise ValueError(f"({row}, {slot}) is out of range")
+                if seen[row, slot]:
+                    raise ValueError(f"({row}, {slot}) appears twice")
+                seen[row, slot] = True
+                out[row, slot] = float(cells[-1])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    if not seen.all():
+        raise ValueError(f"{path}: {(~seen).sum()} (id, slot) pairs missing")
+    return out
 
 
 def cmd_oracle(args) -> int:
@@ -298,7 +313,10 @@ def cmd_oracle(args) -> int:
     bids = None
     if args.result:
         try:
-            demand, bids = _load_result_demand(args.result, scenario)
+            demand = _read_grid(os.path.join(args.result, "demands.csv"),
+                                demand.shape, fields=4)
+            bids = _read_grid(os.path.join(args.result, "bids.csv"),
+                              (scenario.num_es, scenario.num_slots), fields=3)
         except (OSError, ValueError) as exc:
             log.error("cannot read result bundle: %s", exc)
             print(f"error: {exc}", file=sys.stderr)
@@ -348,7 +366,7 @@ def cmd_oracle(args) -> int:
     if not grad.passed():
         report["passed"] = False
 
-    if args.result and bids is not None:
+    if bids is not None:
         payoffs = market_model.compute_agent_economics(
             demand, scenario.base_demand, bids, scenario.cost_coeffs,
             scenario.utility_w, scenario.utility_alpha).te_payoff

@@ -2,11 +2,13 @@
 
 The supplier game's unique equilibrium is characterized as the maximizer
 of a separable concave potential over the supply simplex. This module
-solves that program directly (nested bisections on the stationarity
-condition), evaluates the potential by adaptive quadrature and solves
-exact customer best responses. The equilibrium solve shares no code with
-the iterative solver, so agreement between the two is meaningful
-evidence; ``best_response`` reuses only the solver's simplex projection.
+solves that program in closed forms (each supply at a price is a
+quadratic's root, one bisection finds the price, the potential is
+elementary) and solves exact customer best responses by water-filling.
+The equilibrium solve shares no code with the iterative solver, so
+agreement between the two is meaningful evidence; ``best_response``
+reuses only the solver's simplex projection, once, to make its row
+exactly feasible.
 
 ``check_gradients`` evaluates the solver's own direction kernels
 (``_kernels.te_gradient`` and ``_kernels.es_direction``) against
@@ -28,7 +30,7 @@ from .errors import (
 )
 from . import _kernels
 from .bidding_games import project_simplex
-from .market_model import Scenario, es_cost, es_profit, te_utility
+from .market_model import Scenario, es_profit, te_utility
 
 __all__ = [
     "SupplierEquilibrium",
@@ -52,38 +54,39 @@ class SupplierEquilibrium:
     residual: float         # max relative KKT residual
 
 
-def _stationarity(f: float, load: float, a2: float, a1: float) -> float:
+_TOL = 1e-10  # relative tolerance of the price bisection's load balance
+
+
+def _stationarity(f, load, a2, a1):
     """((L - f)/(L - 2f)) * C'(f); strictly increasing on [0, L/2)."""
     return (load - f) / (load - 2.0 * f) * (2.0 * a2 * f + a1)
 
 
-def _supply_at_price(phi: float, load: float, a2: float, a1: float,
-                     tol: float) -> float:
-    """Unique f in [0, L/2) with stationarity(f) = phi (0 if none)."""
-    if _stationarity(0.0, load, a2, a1) >= phi:
-        return 0.0
-    lo = 0.0
-    hi = 0.5 * load * (1.0 - 1e-12)
-    if _stationarity(hi, load, a2, a1) < phi:
-        return hi
-    while hi - lo > tol * load:
-        mid = 0.5 * (lo + hi)
-        if _stationarity(mid, load, a2, a1) < phi:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _supply_at_price(phi, load, a2, a1):
+    """Each supplier's unique f in [0, L/2) with stationarity(f) = phi.
+
+    That f is the smaller root of 2 a2 f^2 - b f + c with
+    b = 2 a2 L - a1 + 2 phi and c = (phi - a1) L, taken as the
+    cancellation-free 2c / (b + sqrt(b^2 - 8 a2 c)); the discriminant is
+    4 a2 L (a2 L + a1) + (2 phi - a1)^2 >= 0. Zero where a1 >= phi.
+    """
+    c = (phi - a1) * load
+    b = 2.0 * a2 * load - a1 + 2.0 * phi
+    disc = 4.0 * a2 * load * (a2 * load + a1) + (2.0 * phi - a1) ** 2
+    f = np.divide(2.0 * c, b + np.sqrt(disc), out=np.zeros(np.shape(c)),
+                  where=c > 0)
+    return np.minimum(f, 0.5 * load * (1.0 - 1e-12))
 
 
-def solve_supplier_equilibrium(load: float, cost_coeffs,
-                               tol: float = 1e-10) -> SupplierEquilibrium:
-    """Solve the supplier game at one slot by nested bisection.
+def solve_supplier_equilibrium(load: float,
+                               cost_coeffs) -> SupplierEquilibrium:
+    """Solve the supplier game at one slot.
 
-    Outer bisection runs on the equilibrium price phi (total supply is
-    increasing in phi); for each candidate price, every supplier's supply
-    is the root of its stationarity condition on [0, L/2). Two-supplier
-    markets are refused: their symmetric stationary point sits on the
-    boundary supply = L/2, so no interior equilibrium exists.
+    Bisection runs on the equilibrium price phi (total supply is
+    increasing in phi); at each candidate price every supplier's supply is
+    the closed-form root of its stationarity condition on [0, L/2). Two-
+    supplier markets are refused: their symmetric stationary point sits on
+    the boundary supply = L/2, so no interior equilibrium exists.
     """
     coeffs = np.atleast_2d(np.asarray(cost_coeffs, dtype=float))
     m = coeffs.shape[0]
@@ -93,32 +96,26 @@ def solve_supplier_equilibrium(load: float, cost_coeffs,
         raise TwoSupplierMarketError(
             "two-supplier markets are degenerate: total interior supply is "
             "capped below the load, so no equilibrium exists")
-    if load <= 0:
+    if not load > 0:
         raise DomainError("load must be positive")
-    a2 = coeffs[:, 0]
-    a1 = coeffs[:, 1]
+    a2, a1 = coeffs[:, 0], coeffs[:, 1]
 
     def total_supply(phi: float) -> tuple[float, np.ndarray]:
-        f = np.array([
-            _supply_at_price(phi, load, a2[j], a1[j], tol) for j in range(m)
-        ])
+        f = _supply_at_price(phi, load, a2, a1)
         return float(f.sum()), f
 
-    phi_hi = max(_stationarity(load / m, load, a2[j], a1[j])
-                 for j in range(m))
-    phi_hi = max(phi_hi, tol)
+    phi_hi = max(float(np.max(_stationarity(load / m, load, a2, a1))), _TOL)
     total, f = total_supply(phi_hi)
     while total < load:
         phi_hi *= 2.0
-        if phi_hi > 1e280:
-            raise NoEquilibriumError(
-                "could not bracket an equilibrium price")
+        if not phi_hi < 1e280:  # also stops a NaN price
+            raise NoEquilibriumError("could not bracket an equilibrium price")
         total, f = total_supply(phi_hi)
     phi_lo = 0.0
     for _ in range(200):
         phi = 0.5 * (phi_lo + phi_hi)
         total, f = total_supply(phi)
-        if abs(total - load) <= tol * load:
+        if abs(total - load) <= _TOL * load:
             break
         if total < load:
             phi_lo = phi
@@ -127,17 +124,12 @@ def solve_supplier_equilibrium(load: float, cost_coeffs,
     else:
         phi = 0.5 * (phi_lo + phi_hi)
         total, f = total_supply(phi)
-        if abs(total - load) > 10 * tol * load:
+        if abs(total - load) > 10 * _TOL * load:
             raise NoEquilibriumError(
                 f"price bisection stalled at residual {abs(total - load)}")
 
-    interior = f > 0
-    kkt = 0.0
-    for j in range(m):
-        if interior[j]:
-            kkt = max(kkt, abs(_stationarity(f[j], load, a2[j], a1[j]) - phi)
-                      / max(phi, 1e-300))
-    residual = max(kkt, abs(total - load) / load)
+    kkt = np.abs(_stationarity(f, load, a2, a1) - phi)[f > 0].max(initial=0.0)
+    residual = max(float(kkt) / max(phi, 1e-300), abs(total - load) / load)
     return SupplierEquilibrium(price=phi, supplies=f,
                                implied_bids=f / phi, residual=residual)
 
@@ -146,41 +138,21 @@ def solve_supplier_equilibrium(load: float, cost_coeffs,
 # Potential function
 # --------------------------------------------------------------------------
 
-def _simpson(func, a: float, b: float) -> float:
-    return (b - a) / 6.0 * (func(a) + 4.0 * func(0.5 * (a + b)) + func(b))
-
-
-def _adaptive_simpson(func, a, b, whole, tol, depth):
-    mid = 0.5 * (a + b)
-    left = _simpson(func, a, mid)
-    right = _simpson(func, mid, b)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol or depth <= 0:
-        return left + right + err / 15.0
-    return (_adaptive_simpson(func, a, mid, left, 0.5 * tol, depth - 1)
-            + _adaptive_simpson(func, mid, b, right, 0.5 * tol, depth - 1))
-
-
 def psi(f: float, load: float, coeffs) -> float:
     """Per-supplier potential whose summed negation peaks at equilibrium.
 
     ((L-f)/(L-2f)) * C(f) minus the integral of L*C(pi)/(L-2*pi)^2 from 0
-    to f, by adaptive Simpson quadrature. Constant costs give the closed
-    form psi == a0 identically, which the tests use as an oracle.
+    to f. In u = L - 2*pi the integrand splits into terms in 1/u^2, 1/u
+    and a constant, so the integral is C(L/2)*f/(L-2f)
+    + (L*(a2*L + a1)/4)*log1p(-2f/L) + a2*L*f/4. Its 1/(L-2f) part cancels
+    against the front term; what remains is evaluated. Constant costs give
+    psi == a0 identically.
     """
     if not 0.0 <= f < 0.5 * load:
         raise DomainError("supply must lie in [0, load/2)")
-
-    def integrand(p: float) -> float:
-        return load * es_cost(coeffs, p) / (load - 2.0 * p) ** 2
-
-    front = (load - f) / (load - 2.0 * f) * es_cost(coeffs, f)
-    if f == 0.0:
-        return front
-    whole = _simpson(integrand, 0.0, f)
-    tol = 1e-8 * (1.0 + abs(whole))
-    integral = _adaptive_simpson(integrand, 0.0, f, whole, tol, 48)
-    return front - integral
+    a2, a1, a0 = coeffs
+    log_term = 0.25 * load * (a2 * load + a1) * np.log1p(-2.0 * f / load)
+    return float(a0 + 0.5 * a1 * f - 0.5 * a2 * f * (load - f) - log_term)
 
 
 @dataclass
@@ -241,20 +213,18 @@ def verify_supplier_equilibrium(eq: SupplierEquilibrium, costs, load: float,
 # --------------------------------------------------------------------------
 
 def best_response(chi: np.ndarray, base: np.ndarray, i: int,
-                  bids: np.ndarray, w: np.ndarray, alpha: np.ndarray,
-                  grad_tol: float = 1e-10,
-                  max_iterations: int = 100_000):
+                  bids: np.ndarray, w: np.ndarray, alpha: np.ndarray):
     """Solve customer i's concave program exactly, others held fixed.
 
-    Projected gradient ascent with the inverse-Lipschitz step; stops when
-    the projected-gradient mapping norm drops below ``grad_tol``. Returns
-    (optimal_row, payoff_gain); the gain is never negative because the
-    ascent is monotone from the current row.
+    Water-filling: each slot's payoff gradient U'(x) - (o + 2x)/Lambda is
+    piecewise linear and strictly decreasing in the served demand x, so
+    the demand at which it equals a multiplier nu is closed form. Bisection
+    on nu, until the bracket stops shrinking, meets the daily total; one
+    simplex projection makes the row exactly feasible. Returns
+    (optimal_row, payoff_gain).
     """
-    chi = np.asarray(chi, dtype=float)
-    base = np.asarray(base, dtype=float)
-    bids = np.asarray(bids, dtype=float)
-    totals = bids.sum(axis=0)
+    chi, base = np.asarray(chi, dtype=float), np.asarray(base, dtype=float)
+    totals = np.asarray(bids, dtype=float).sum(axis=0)
     if np.any(totals <= 0):
         raise DegenerateMarketError("all bids are zero at some slot")
     others = (chi.sum(axis=0) - chi[i]) + (base.sum(axis=0) - base[i])
@@ -265,25 +235,36 @@ def best_response(chi: np.ndarray, base: np.ndarray, i: int,
 
     def payoff(c: np.ndarray) -> float:
         x = c + r_i
-        price = (others + x) / totals
-        return float(np.sum(te_utility(w_i, a_i, x) - x * price))
+        return float(np.sum(te_utility(w_i, a_i, x)
+                            - x * (others + x) / totals))
 
-    def gradient(c: np.ndarray) -> np.ndarray:
-        x = c + r_i
-        up = np.where(x * a_i <= w_i, w_i - a_i * x, 0.0)
-        return up - (others + 2.0 * x) / totals
+    # Below saturation (x <= w/alpha) the gradient is top - slope * x;
+    # beyond it, -(o + 2x)/Lambda. ``knee`` is its value at saturation.
+    top = w_i - others / totals
+    slope = a_i + 2.0 / totals
+    knee = -(others + 2.0 * w_i / a_i) / totals
 
-    lipschitz = float(np.max(a_i) + 2.0 / np.min(totals))
-    step = 1.0 / lipschitz
-    c = chi[i].copy()
-    start = payoff(c)
-    for _ in range(max_iterations):
-        nxt = project_simplex(c + step * gradient(c), q)
-        if float(np.linalg.norm(nxt - c)) * lipschitz <= grad_tol:
-            c = nxt
-            break
-        c = nxt
-    return c, payoff(c) - start
+    def gradient(x: np.ndarray) -> np.ndarray:
+        return np.where(x * a_i <= w_i, top - slope * x,
+                        -(others + 2.0 * x) / totals)
+
+    def demand(nu: float) -> np.ndarray:
+        x = np.where(nu >= knee, (top - nu) / slope,
+                     -0.5 * (nu * totals + others))
+        return np.maximum(x - r_i, 0.0)
+
+    # At hi every slot's demand is zero; at lo each slot alone takes q.
+    lo = float(np.min(gradient(r_i + q)))
+    hi = float(np.max(gradient(r_i)))
+    nu = 0.5 * (lo + hi)
+    while lo < nu < hi:
+        if demand(nu).sum() > q:
+            lo = nu
+        else:
+            hi = nu
+        nu = 0.5 * (lo + hi)
+    c = project_simplex(demand(nu), q)
+    return c, payoff(c) - payoff(chi[i])
 
 
 # --------------------------------------------------------------------------

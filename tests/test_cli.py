@@ -26,6 +26,15 @@ def small_scenario(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def small_bundle(small_scenario, tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("bundle") / "out"
+    out = cli("run", "--scenario", str(small_scenario), "--out-dir",
+              str(out_dir))
+    assert out.returncode == 0, out.stderr
+    return out_dir
+
+
 class TestGen:
     def test_deterministic_files(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -90,6 +99,16 @@ class TestRun:
         assert doc["status"] == "iteration-cap-reached"
         assert doc["iterations"] == 5
 
+    def test_baseline_cap_reported(self, small_scenario, tmp_path):
+        out_dir = tmp_path / "o5"
+        out = cli("run", "--scenario", str(small_scenario), "--out-dir",
+                  str(out_dir), "--max-iter", "5")
+        assert out.returncode == 3
+        doc = json.loads((out_dir / "manifest.json").read_text())
+        assert doc["baseline_converged"] is False
+        assert doc["baseline_iterations"] == 5
+        assert "WARNING baseline" in out.stderr
+
     def test_thread_invariant_bundles(self, small_scenario, tmp_path):
         d1, d8 = tmp_path / "t1", tmp_path / "t8"
         assert cli("run", "--scenario", str(small_scenario), "--out-dir",
@@ -109,6 +128,8 @@ class TestRun:
         assert doc["overrides"] == {"solver.max_iterations": 500}
         assert len(doc["scenario_sha256"]) == 64
         assert doc["status"] == "converged"
+        assert doc["baseline_converged"] is True
+        assert 0 < doc["baseline_iterations"] <= 500
 
     def test_degenerate_market_exit(self, tmp_path):
         # gigantic linear cost drives every bid to zero in one step
@@ -219,3 +240,36 @@ class TestOracle:
                   "--samples", "5", "-o", str(report_path))
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == str(report_path)
+
+    def test_truncated_bundle_rejected(self, small_scenario, small_bundle,
+                                       tmp_path):
+        # rows missing from demands.csv must not certify initial demand
+        bundle = tmp_path / "cut"
+        bundle.mkdir()
+        lines = (small_bundle / "demands.csv").read_text().splitlines()
+        (bundle / "demands.csv").write_text("\n".join(lines[:-10]) + "\n")
+        (bundle / "bids.csv").write_bytes(
+            (small_bundle / "bids.csv").read_bytes())
+        report_path = tmp_path / "r.json"
+        out = cli("oracle", "--scenario", str(small_scenario), "--slot", "0",
+                  "--samples", "5", "--result", str(bundle),
+                  "-o", str(report_path))
+        assert out.returncode == 1
+        assert "demands.csv" in out.stderr and "missing" in out.stderr
+        assert not report_path.exists()
+
+    def test_out_of_range_id_rejected(self, small_scenario, small_bundle,
+                                      tmp_path):
+        bundle = tmp_path / "oor"
+        bundle.mkdir()
+        (bundle / "demands.csv").write_bytes(
+            (small_bundle / "demands.csv").read_bytes())
+        lines = (small_bundle / "bids.csv").read_text().splitlines()
+        lines[-1] = "4" + lines[-1][lines[-1].index(","):]  # M = 4
+        (bundle / "bids.csv").write_text("\n".join(lines) + "\n")
+        out = cli("oracle", "--scenario", str(small_scenario), "--slot", "0",
+                  "--samples", "5", "--result", str(bundle),
+                  "-o", str(tmp_path / "r.json"))
+        assert out.returncode == 1
+        assert "bids.csv" in out.stderr and "out of range" in out.stderr
+        assert "Traceback" not in out.stderr

@@ -13,7 +13,11 @@ from mec_bazaar.equilibrium_oracle import (
     verify_supplier_equilibrium,
     SupplierEquilibrium,
 )
-from mec_bazaar.errors import DomainError, TwoSupplierMarketError
+from mec_bazaar.errors import (
+    DomainError,
+    NoEquilibriumError,
+    TwoSupplierMarketError,
+)
 from mec_bazaar.market_model import Scenario, SolverConfig
 from mec_bazaar.scenario_io import GenerationParams, generate_scenario
 
@@ -53,7 +57,7 @@ class TestSolveSupplierEquilibrium:
             assert np.all(np.diff(eq.supplies[order]) <= 1e-9 * load)
 
     def test_stationarity_increasing(self):
-        # the inner bisection requires a strictly increasing condition
+        # a strictly increasing condition has one root, the supply at a price
         rng = np.random.default_rng(5)
         from mec_bazaar.equilibrium_oracle import _stationarity
         for _ in range(50):
@@ -62,6 +66,15 @@ class TestSolveSupplierEquilibrium:
             f = np.sort(rng.uniform(0.0, 0.499, size=10)) * load
             g = [_stationarity(x, load, a2, a1) for x in f]
             assert np.all(np.diff(g) >= -1e-12)
+
+    def test_non_finite_input_raises(self):
+        # a NaN price must end the bracket search, not spin in it
+        nan = float("nan")
+        with pytest.raises(NoEquilibriumError):
+            solve_supplier_equilibrium(30.0, [[nan, 1.0, 0.0]]
+                                       + [[0.1, 1.0, 0.0]] * 2)
+        with pytest.raises(DomainError):
+            solve_supplier_equilibrium(nan, [[0.1, 1.0, 0.0]] * 3)
 
     def test_two_suppliers_flagged(self):
         with pytest.raises(TwoSupplierMarketError):
