@@ -18,7 +18,7 @@ loop, the step schedule, the stopping rule and the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,8 +52,7 @@ class IterationTrace:
     ``delta`` is the Frobenius distance between consecutive demand
     matrices and ``bid_delta`` the one between consecutive bid matrices;
     ``price`` and ``load`` are the per-slot vectors the customers reacted
-    to in that iteration. Full strategy snapshots are kept every
-    ``snapshot_stride`` iterations when requested.
+    to in that iteration.
     """
 
     iteration: np.ndarray                  # (G,)
@@ -63,10 +62,6 @@ class IterationTrace:
     bid_delta: np.ndarray                  # (G,)
     eta1: np.ndarray                       # (G,)
     eta2: np.ndarray                       # (G,)
-    snapshot_stride: int = 0
-    snapshot_iterations: list = field(default_factory=list)
-    snapshot_demand: list = field(default_factory=list)
-    snapshot_bids: list = field(default_factory=list)
 
 
 @dataclass
@@ -100,8 +95,7 @@ def _threshold(cfg: SolverConfig, current: np.ndarray) -> float:
     return cfg.epsilon
 
 
-def run_dtoa(scenario: Scenario,
-             trace_stride: int = 0) -> EquilibriumResult:
+def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     """Iterate both games from the scenario's initial profiles.
 
     The run is converged once, in the same iteration, the demand step and
@@ -133,7 +127,6 @@ def run_dtoa(scenario: Scenario,
     rec_bid_delta: list[float] = []
     rec_eta1: list[float] = []
     rec_eta2: list[float] = []
-    snaps: tuple[list, list, list] = ([], [], [])
 
     status = STATUS_ITERATION_CAP
     iterations = 0
@@ -159,10 +152,6 @@ def run_dtoa(scenario: Scenario,
         chi = chi_new
         lam = lam_new
         iterations = g
-        if trace_stride and (g % trace_stride == 0 or g == 1):
-            snaps[0].append(g)
-            snaps[1].append(chi.copy())
-            snaps[2].append(lam.copy())
         eta1 *= cfg.eta1_decay
         eta2 *= cfg.eta2_decay
         if (delta < _threshold(cfg, chi)
@@ -178,10 +167,6 @@ def run_dtoa(scenario: Scenario,
         bid_delta=np.array(rec_bid_delta),
         eta1=np.array(rec_eta1),
         eta2=np.array(rec_eta2),
-        snapshot_stride=trace_stride,
-        snapshot_iterations=snaps[0],
-        snapshot_demand=snaps[1],
-        snapshot_bids=snaps[2],
     )
     state = compute_market_state(chi, base, lam)
     econ = compute_agent_economics(chi, base, lam, scenario.cost_coeffs,

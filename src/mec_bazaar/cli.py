@@ -2,7 +2,8 @@
 
 stdout carries only the paths of artifacts written; diagnostics go to
 stderr, with verbosity controlled by MEC_BAZAAR_LOG (error, warn, info,
-debug). Exit codes are part of the contract:
+debug), and each failure writes one ``ERROR ...`` line. Exit codes are
+part of the contract:
 
   0  success
   1  I/O or parse failure
@@ -73,6 +74,12 @@ def _setup_logging() -> None:
     handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
     log.handlers[:] = [handler]
     log.setLevel(_LOG_LEVELS.get(level, logging.WARNING))
+
+
+def _fail(code: int, message: str) -> int:
+    """Report a failure as one ``ERROR ...`` line on stderr; return ``code``."""
+    log.error("%s", message)
+    return code
 
 
 def _parse_value(text: str):
@@ -146,15 +153,12 @@ def cmd_gen(args) -> int:
     try:
         params = _gen_params_from_args(args)
     except (DomainError, ValueError) as exc:
-        log.error("invalid generation parameters: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"invalid generation parameters: {exc}")
     scenario = generate_scenario(params)
     try:
         save_scenario(args.output, scenario, generation=params)
     except OSError as exc:
-        log.error("cannot write scenario: %s", exc)
-        return EXIT_IO
+        return _fail(EXIT_IO, f"cannot write scenario: {exc}")
     log.info("generated scenario seed=%d N=%d M=%d T=%d", params.seed,
              params.num_te, params.num_es, params.num_slots)
     print(args.output)
@@ -194,13 +198,9 @@ def cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioFormatError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(EXIT_IO, str(exc))
     except OSError as exc:
-        log.error("cannot read scenario: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(EXIT_IO, f"cannot read scenario: {exc}")
 
     overrides = {}
     try:
@@ -211,21 +211,16 @@ def cmd_run(args) -> int:
             overrides["solver.max_iterations"] = args.max_iter
         scenario, applied = _apply_overrides(scenario, overrides)
     except (DomainError, ValueError) as exc:
-        log.error("invalid override: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"invalid override: {exc}")
 
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
     try:
-        result = run_dtoa(scenario, trace_stride=args.trace_stride)
+        result = run_dtoa(scenario)
         baseline = compute_baseline(scenario)
     except DegenerateMarketError as exc:
-        log.error("degenerate market: %s", exc)
-        print(f"error: degenerate market: {exc} "
-              f"(slot={exc.slot}, iteration={exc.iteration})",
-              file=sys.stderr)
-        return EXIT_DEGENERATE
+        return _fail(EXIT_DEGENERATE, f"degenerate market: {exc} "
+                     f"(slot={exc.slot}, iteration={exc.iteration})")
     runtime = time.perf_counter() - t0
     if not baseline.converged:
         log.warning("baseline supplier game stopped unconverged at its "
@@ -235,7 +230,7 @@ def cmd_run(args) -> int:
         paths = save_result(args.out_dir, result, scenario)
         report = build_report(scenario, baseline, result,
                               runtime_seconds=runtime)
-        paths.update(emit(report, args.out_dir, fmt="csv"))
+        paths.update(emit(report, args.out_dir))
         manifest = {
             "tool_version": __version__,
             "scenario_path": os.path.abspath(args.scenario),
@@ -257,9 +252,7 @@ def cmd_run(args) -> int:
             fh.write("\n")
         paths["manifest"] = manifest_path
     except OSError as exc:
-        log.error("cannot write results: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(EXIT_IO, f"cannot write results: {exc}")
 
     for path in sorted(paths.values()):
         print(path)
@@ -305,9 +298,7 @@ def cmd_oracle(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
     except (ScenarioFormatError, OSError) as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(EXIT_IO, str(exc))
 
     demand = scenario.initial_demand
     bids = None
@@ -318,15 +309,12 @@ def cmd_oracle(args) -> int:
             bids = _read_grid(os.path.join(args.result, "bids.csv"),
                               (scenario.num_es, scenario.num_slots), fields=3)
         except (OSError, ValueError) as exc:
-            log.error("cannot read result bundle: %s", exc)
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+            return _fail(EXIT_IO, f"cannot read result bundle: {exc}")
 
     loads = (demand + scenario.base_demand).sum(axis=0)
     if args.slot is not None and not 0 <= args.slot < scenario.num_slots:
-        print(f"error: slot {args.slot} out of range for "
-              f"T={scenario.num_slots}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"slot {args.slot} out of range for "
+                     f"T={scenario.num_slots}")
     slots = [args.slot] if args.slot is not None else list(
         range(scenario.num_slots))
     report: dict = {"scenario": os.path.abspath(args.scenario),
@@ -350,9 +338,7 @@ def cmd_oracle(args) -> int:
                 report["passed"] = False
             report["slots"][str(t)] = entry
     except TwoSupplierMarketError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TWO_SUPPLIERS
+        return _fail(EXIT_TWO_SUPPLIERS, str(exc))
 
     grad = check_gradients(scenario, n_samples=args.samples,
                            seed=scenario.seed)
@@ -390,8 +376,7 @@ def cmd_oracle(args) -> int:
             json.dump(report, fh, indent=1)
             fh.write("\n")
     except OSError as exc:
-        log.error("cannot write report: %s", exc)
-        return EXIT_IO
+        return _fail(EXIT_IO, f"cannot write report: {exc}")
     print(out_path)
     return EXIT_OK if report["passed"] else EXIT_ORACLE_VIOLATION
 
@@ -429,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out-dir", required=True)
     run.add_argument("--epsilon", type=float, default=None)
     run.add_argument("--max-iter", type=int, default=None)
-    run.add_argument("--trace-stride", type=int, default=0)
     run.add_argument("--threads", type=int,
                      default=max(1, os.cpu_count() or 1),
                      help="accepted and ignored (the solver runs in one "
@@ -461,9 +445,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except MarketError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, str(exc))
 
 
 if __name__ == "__main__":

@@ -178,6 +178,8 @@ def verify_supplier_equilibrium(eq: SupplierEquilibrium, costs, load: float,
     any probe over the equilibrium; a correct equilibrium admits none
     beyond 1e-8 * |objective|.
     """
+    if n_probes < 0:
+        raise DomainError("probe count must be nonnegative")
     coeffs = np.atleast_2d(np.asarray(costs, dtype=float))
     m = coeffs.shape[0]
 

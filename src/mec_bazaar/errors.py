@@ -27,19 +27,6 @@ class DegenerateMarketError(MarketError):
         self.iteration = iteration
 
 
-class NoClearingPriceError(MarketError):
-    """No piecewise segment yields a consistent price.
-
-    The supply family is discontinuous at its breakpoints, so a load can
-    fall inside a jump. ``breakpoint_price`` is the breakpoint bracketing
-    the gap.
-    """
-
-    def __init__(self, message: str, breakpoint_price: float):
-        super().__init__(message)
-        self.breakpoint_price = breakpoint_price
-
-
 class NoEquilibriumError(MarketError):
     """The oracle could not bracket a supplier equilibrium price."""
 

@@ -1,10 +1,10 @@
 """Domain types and pure economic functions of the resource market.
 
-Everything in this module is a pure function of its arguments: clearing
-prices, supply shares, supplier cost/profit and customer utility/payout/
-payoff. Derived per-slot quantities (aggregate load, price, supply split)
-are never stored on the scenario; they are always recomputed from the
-strategy matrices.
+Everything in this module is a pure function of its arguments: supplier
+cost/profit, customer utility/payout/payoff, and the market state (load,
+clearing price load / SUM(bids), proportional supply split) derived
+from the strategy matrices. Derived per-slot quantities are never stored
+on the scenario; they are always recomputed.
 
 Conventions: demand and supply are measured in task-units, prices in
 price-units per task-unit. Suppliers are indexed j = 0..M-1, customers
@@ -13,30 +13,20 @@ i = 0..N-1, slots t = 0..T-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import (
-    DegenerateMarketError,
-    DimensionError,
-    DomainError,
-    NoClearingPriceError,
-)
+from .errors import DegenerateMarketError, DimensionError, DomainError
 
 __all__ = [
     "SolverConfig",
     "Scenario",
-    "PiecewiseBid",
     "MarketState",
     "AgentEconomics",
-    "aggregate_load",
-    "clearing_price_affine",
-    "clearing_price_piecewise",
-    "supply_share",
-    "supply_allocation",
     "es_cost",
-    "es_cost_prime",
     "es_profit",
     "te_utility",
     "te_payout",
@@ -49,6 +39,10 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Domain types
 # --------------------------------------------------------------------------
+
+_FIELD_KINDS = {"bool": "true or false", "int": "an integer",
+                "float": "a finite number"}
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -74,6 +68,21 @@ class SolverConfig:
     relative_stopping: bool = False
 
     def validate(self) -> None:
+        # Types first: a string, NaN or bool would slip past (or crash)
+        # the range checks below.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                ok = isinstance(value, bool)
+            elif isinstance(value, bool):
+                ok = False
+            elif f.type == "int":
+                ok = isinstance(value, Integral)
+            else:
+                ok = isinstance(value, Real) and math.isfinite(value)
+            if not ok:
+                raise DomainError(f"solver.{f.name} must be "
+                                  f"{_FIELD_KINDS[f.type]}, got {value!r}")
         if not (self.eta1_init > 0 and self.eta2_init > 0):
             raise DomainError("step sizes must be positive")
         if not (0 < self.eta1_decay <= 1 and 0 < self.eta2_decay <= 1):
@@ -164,32 +173,6 @@ class Scenario:
 
 
 @dataclass
-class PiecewiseBid:
-    """Piecewise-linear supply family for a whole market at one slot.
-
-    ``breakpoints`` are the K-1 interior segment boundaries shared by all
-    suppliers (the last segment is unbounded above); ``slopes`` holds one
-    row of K segment slopes per supplier. With no breakpoints this is
-    exactly the affine family.
-    """
-
-    breakpoints: np.ndarray  # (K-1,) strictly increasing, positive
-    slopes: np.ndarray       # (M, K)
-
-    def validate(self) -> None:
-        bp = np.asarray(self.breakpoints, dtype=float)
-        sl = np.atleast_2d(np.asarray(self.slopes, dtype=float))
-        if sl.shape[1] != bp.size + 1:
-            raise DimensionError(
-                f"need {bp.size + 1} slope segments for {bp.size} breakpoints,"
-                f" got {sl.shape[1]}")
-        if bp.size and (np.any(bp <= 0) or np.any(np.diff(bp) <= 0)):
-            raise DomainError("breakpoints must be positive and strictly increasing")
-        if np.any(sl < 0):
-            raise DomainError("slopes must be nonnegative")
-
-
-@dataclass
 class MarketState:
     """Per-slot derived quantities: load, clearing price, supply split."""
 
@@ -216,83 +199,6 @@ class AgentEconomics:
 # Pure operations
 # --------------------------------------------------------------------------
 
-def aggregate_load(chi: np.ndarray, base: np.ndarray, t: int) -> float:
-    """Total demand SUM_i(chi[i][t] + r[i][t]) at slot ``t``."""
-    chi = np.asarray(chi, dtype=float)
-    base = np.asarray(base, dtype=float)
-    if chi.shape != base.shape:
-        raise DimensionError(
-            f"demand {chi.shape} and base demand {base.shape} do not conform")
-    if not 0 <= t < chi.shape[1]:
-        raise DimensionError(f"slot {t} out of range for T={chi.shape[1]}")
-    return float(chi[:, t].sum() + base[:, t].sum())
-
-
-def clearing_price_affine(lambda_col: np.ndarray, load: float) -> float:
-    """Uniform price load / SUM_j lambda_j for the affine supply family."""
-    lam = np.asarray(lambda_col, dtype=float)
-    if np.any(lam < 0):
-        raise DomainError("bids must be nonnegative")
-    total = lam.sum()
-    if total <= 0.0:
-        raise DegenerateMarketError(
-            "all bids are zero: clearing price undefined")
-    if load < 0:
-        raise DomainError("load must be nonnegative")
-    return float(load / total)
-
-
-def clearing_price_piecewise(bids: PiecewiseBid, load: float) -> float:
-    """Clearing price for the piecewise-linear supply family.
-
-    Searches segments from the lowest price upward and returns the first
-    candidate consistent with its own segment. The family as printed is
-    discontinuous at breakpoints, so a load can fall inside a jump; that
-    raises :class:`NoClearingPriceError` carrying the bracketing
-    breakpoint instead of silently picking a side.
-    """
-    bids.validate()
-    if load < 0:
-        raise DomainError("load must be nonnegative")
-    bp = np.asarray(bids.breakpoints, dtype=float)
-    sl = np.atleast_2d(np.asarray(bids.slopes, dtype=float))
-    n_seg = sl.shape[1]
-    for k in range(n_seg):
-        lower = 0.0 if k == 0 else float(bp[k - 1])
-        slope_sum = float(sl[:, k].sum())
-        const = 0.0 if k == 0 else float(bp[k - 1] * sl[:, k - 1].sum())
-        if slope_sum <= 0.0:
-            if load == const:
-                return lower
-            continue
-        candidate = (load - const) / slope_sum
-        if k > 0 and candidate <= lower:
-            # Supply already jumped past this load at the breakpoint.
-            raise NoClearingPriceError(
-                f"load {load} falls in the supply discontinuity at price "
-                f"{lower}", breakpoint_price=lower)
-        upper = float(bp[k]) if k < n_seg - 1 else np.inf
-        if (candidate >= 0.0 if k == 0 else candidate > lower) and candidate <= upper:
-            return float(candidate)
-    raise NoClearingPriceError(
-        f"no segment clears load {load}",
-        breakpoint_price=float(bp[-1]) if bp.size else 0.0)
-
-
-def supply_allocation(lambda_col: np.ndarray, load: float) -> np.ndarray:
-    """Per-supplier share lambda_j * load / SUM(lambda); sums to load."""
-    lam = np.asarray(lambda_col, dtype=float)
-    total = lam.sum()
-    if total <= 0.0:
-        raise DegenerateMarketError("all bids are zero: shares undefined")
-    return lam * (load / total)
-
-
-def supply_share(lambda_col: np.ndarray, j: int, load: float) -> float:
-    """Share of ``load`` won by supplier ``j`` under proportional split."""
-    return float(supply_allocation(lambda_col, load)[j])
-
-
 def es_cost(coeffs, f):
     """Quadratic serving cost a2*f^2 + a1*f + a0."""
     a2, a1, a0 = coeffs
@@ -300,16 +206,6 @@ def es_cost(coeffs, f):
     if np.any(f < 0):
         raise DomainError("supplied load must be nonnegative")
     out = a2 * f * f + a1 * f + a0
-    return float(out) if out.ndim == 0 else out
-
-
-def es_cost_prime(coeffs, f):
-    """Marginal cost 2*a2*f + a1."""
-    a2, a1, _ = coeffs
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0):
-        raise DomainError("supplied load must be nonnegative")
-    out = 2.0 * a2 * f + a1
     return float(out) if out.ndim == 0 else out
 
 

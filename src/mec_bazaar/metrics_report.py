@@ -126,10 +126,8 @@ def build_report(scenario: Scenario, baseline: BaselineResult,
     )
 
 
-def emit(report: ComparisonReport, out_dir: str, fmt: str = "csv") -> dict:
-    """Write report.json and, for fmt="csv", the per-figure CSV tables."""
-    if fmt not in ("csv", "json"):
-        raise DomainError(f"unknown report format {fmt!r}")
+def emit(report: ComparisonReport, out_dir: str) -> dict:
+    """Write report.json and the per-figure CSV tables."""
     os.makedirs(out_dir, exist_ok=True)
     doc = {
         "num_te": report.num_te,
@@ -160,33 +158,32 @@ def emit(report: ComparisonReport, out_dir: str, fmt: str = "csv") -> dict:
     with open(paths["report"], "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    if fmt == "csv":
-        paths["fig_demand"] = os.path.join(out_dir, "fig_demand.csv")
-        _write_csv(paths["fig_demand"],
-                   ["slot", "load_before", "load_after"],
-                   ((t, float(report.load_before[t]),
-                     float(report.load_after[t]))
-                    for t in range(report.load_before.size)))
-        paths["fig_payout"] = os.path.join(out_dir, "fig_payout.csv")
-        _write_csv(paths["fig_payout"],
-                   ["te_id", "payout_before", "payout_after"],
-                   ((i, float(report.te_payout_before[i]),
-                     float(report.te_payout_after[i]))
-                    for i in range(report.num_te)))
-        paths["fig_payoff"] = os.path.join(out_dir, "fig_payoff.csv")
-        _write_csv(paths["fig_payoff"],
-                   ["te_id", "payoff_before", "payoff_after"],
-                   ((i, float(report.te_payoff_before[i]),
-                     float(report.te_payoff_after[i]))
-                    for i in range(report.num_te)))
-        paths["fig_profit"] = os.path.join(out_dir, "fig_profit.csv")
-        _write_csv(paths["fig_profit"],
-                   ["es_id", "profit_before", "profit_after"],
-                   ((j, float(report.es_profit_before[j]),
-                     float(report.es_profit_after[j]))
-                    for j in range(report.num_es)))
-        paths["fig_par"] = os.path.join(out_dir, "fig_par.csv")
-        _write_csv(paths["fig_par"],
-                   ["num_te", "par_before", "par_after"],
-                   [(report.num_te, report.par_before, report.par_after)])
+    paths["fig_demand"] = os.path.join(out_dir, "fig_demand.csv")
+    _write_csv(paths["fig_demand"],
+               ["slot", "load_before", "load_after"],
+               ((t, float(report.load_before[t]),
+                 float(report.load_after[t]))
+                for t in range(report.load_before.size)))
+    paths["fig_payout"] = os.path.join(out_dir, "fig_payout.csv")
+    _write_csv(paths["fig_payout"],
+               ["te_id", "payout_before", "payout_after"],
+               ((i, float(report.te_payout_before[i]),
+                 float(report.te_payout_after[i]))
+                for i in range(report.num_te)))
+    paths["fig_payoff"] = os.path.join(out_dir, "fig_payoff.csv")
+    _write_csv(paths["fig_payoff"],
+               ["te_id", "payoff_before", "payoff_after"],
+               ((i, float(report.te_payoff_before[i]),
+                 float(report.te_payoff_after[i]))
+                for i in range(report.num_te)))
+    paths["fig_profit"] = os.path.join(out_dir, "fig_profit.csv")
+    _write_csv(paths["fig_profit"],
+               ["es_id", "profit_before", "profit_after"],
+               ((j, float(report.es_profit_before[j]),
+                 float(report.es_profit_after[j]))
+                for j in range(report.num_es)))
+    paths["fig_par"] = os.path.join(out_dir, "fig_par.csv")
+    _write_csv(paths["fig_par"],
+               ["num_te", "par_before", "par_after"],
+               [(report.num_te, report.par_before, report.par_after)])
     return paths

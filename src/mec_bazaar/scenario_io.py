@@ -107,6 +107,7 @@ class GenerationParams:
         if self.num_es < 2 or self.num_te < 1 or self.num_slots < 1:
             raise DomainError(
                 "counts must satisfy num_es >= 2, num_te >= 1, num_slots >= 1")
+        self.solver.validate()
 
 
 def generate_scenario(params: GenerationParams) -> Scenario:
@@ -246,7 +247,7 @@ def load_scenario(path: str) -> Scenario:
 def _guess_field(exc: Exception) -> str | None:
     text = str(exc)
     for name in ("cost_coeffs", "utility_alpha", "utility_w", "base_demand",
-                 "shiftable_total", "initial_demand"):
+                 "shiftable_total", "initial_demand", "solver"):
         if name in text:
             return name
     return None

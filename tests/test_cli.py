@@ -1,15 +1,21 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mec_bazaar.cli import build_parser
 from mec_bazaar.scenario_io import GenerationParams, generate_scenario, save_scenario
 from mec_bazaar.market_model import SolverConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def cli(*args, cwd=None):
@@ -76,6 +82,14 @@ class TestGen:
         out = cli("gen", "--seed", "2", "--param", "bogus=1", "-o",
                   str(tmp_path / "x.json"))
         assert out.returncode == 2
+
+    def test_non_numeric_solver_param(self, tmp_path):
+        out = cli("gen", "--seed", "2", "--tes", "5", "--param",
+                  "solver.epsilon=abc", "-o", str(tmp_path / "x.json"))
+        assert out.returncode == 2
+        assert "solver.epsilon" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestRun:
@@ -167,6 +181,40 @@ class TestRun:
                   str(tmp_path / "o"), "--param", "solver.epsilon=-1")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("param", ["solver.epsilon=abc",
+                                       "solver.max_iterations=2.5",
+                                       "solver.epsilon=true",
+                                       "solver.lambda_init=nan"])
+    def test_mistyped_override(self, small_scenario, tmp_path, param):
+        out = cli("run", "--scenario", str(small_scenario), "--out-dir",
+                  str(tmp_path / "o"), "--param", param)
+        assert out.returncode == 2
+        assert param.split("=")[0] in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "o" / "result.json").exists()
+
+    @pytest.mark.parametrize("field,value", [("epsilon", "abc"),
+                                             ("relative_stopping", "yes")])
+    def test_mistyped_solver_block(self, small_scenario, tmp_path, field,
+                                   value):
+        doc = json.loads(small_scenario.read_text())
+        doc["solver"][field] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        out = cli("run", "--scenario", str(path), "--out-dir",
+                  str(tmp_path / "o"))
+        assert out.returncode == 1
+        assert f"solver.{field}" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_one_error_line(self, tmp_path):
+        out = cli("run", "--scenario", str(tmp_path / "missing.json"),
+                  "--out-dir", str(tmp_path / "o"))
+        assert out.returncode == 1
+        lines = [line for line in out.stderr.splitlines() if line.strip()]
+        assert len(lines) == 1, out.stderr
+        assert lines[0].startswith("ERROR ") and "missing.json" in lines[0]
+
 
 class TestOracle:
     def test_symmetric_hand_scenario(self, tmp_path):
@@ -234,6 +282,14 @@ class TestOracle:
         doc = json.loads((tmp_path / "bad.json").read_text())
         assert doc["best_response"]["worst_relative_gain"] > 1e-3
 
+    def test_negative_probes_rejected(self, small_scenario, tmp_path):
+        report_path = tmp_path / "r.json"
+        out = cli("oracle", "--scenario", str(small_scenario), "--slot", "0",
+                  "--probes", "-5", "--samples", "5", "-o", str(report_path))
+        assert out.returncode == 2
+        assert "probe" in out.stderr
+        assert not report_path.exists()
+
     def test_stdout_carries_only_paths(self, small_scenario, tmp_path):
         report_path = tmp_path / "r.json"
         out = cli("oracle", "--scenario", str(small_scenario), "--slot", "0",
@@ -273,3 +329,33 @@ class TestOracle:
         assert out.returncode == 1
         assert "bids.csv" in out.stderr and "out of range" in out.stderr
         assert "Traceback" not in out.stderr
+
+
+def readme_cli_flags() -> dict:
+    """Flags each subcommand shows in the README's CLI code block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    code = "\n".join(line for line in block.splitlines()
+                     if not line.lstrip().startswith("#"))
+    flags: dict = {}
+    for command, body in re.findall(r"mec-bazaar (\w+)(.*?)(?=mec-bazaar |\Z)",
+                                    code, flags=re.S):
+        flags.setdefault(command, set()).update(
+            re.findall(r"(?<![\w-])--?[a-z][\w-]*", body))
+    return flags
+
+
+def test_readme_cli_block_matches_parser():
+    documented = readme_cli_flags()
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(documented) == set(sub.choices)
+    for command, parser in sub.choices.items():
+        known = parser._option_string_actions
+        stale = documented[command] - set(known)
+        assert not stale, f"README shows {command} {sorted(stale)}"
+        shown = {known[flag].dest for flag in documented[command]}
+        options = {a.dest for a in parser._actions
+                   if a.option_strings and a.dest != "help"}
+        assert shown == options, (
+            f"README omits {command} options {sorted(options - shown)}")

@@ -9,22 +9,13 @@ from mec_bazaar.errors import (
     DegenerateMarketError,
     DimensionError,
     DomainError,
-    NoClearingPriceError,
 )
 from mec_bazaar.market_model import (
-    PiecewiseBid,
-    Scenario,
     SolverConfig,
-    aggregate_load,
-    clearing_price_affine,
-    clearing_price_piecewise,
     compute_agent_economics,
     compute_market_state,
     es_cost,
-    es_cost_prime,
     es_profit,
-    supply_allocation,
-    supply_share,
     te_payoff,
     te_payout,
     te_utility,
@@ -32,20 +23,28 @@ from mec_bazaar.market_model import (
 from mec_bazaar.scenario_io import GenerationParams, generate_scenario
 
 
+def one_slot_state(lam, load):
+    """Market state of a single slot whose whole ``load`` is one customer's."""
+    return compute_market_state(np.array([[load]]), np.zeros((1, 1)),
+                                np.asarray(lam, dtype=float)[:, None])
+
+
 class TestAggregateLoad:
     def test_zero_case(self):
-        chi = np.zeros((2, 1))
-        base = np.zeros((2, 1))
-        assert aggregate_load(chi, base, 0) == 0.0
+        state = compute_market_state(np.zeros((2, 1)), np.zeros((2, 1)),
+                                     np.ones((2, 1)))
+        assert state.load[0] == 0.0
 
     def test_direct_sum(self):
         chi = np.array([[1.0], [2.0]])
         base = np.array([[3.0], [4.0]])
-        assert aggregate_load(chi, base, 0) == 10.0
+        assert compute_market_state(chi, base, np.ones((2, 1))).load[0] == 10.0
 
     def test_matches_second_summation_order(self):
         s = generate_scenario(GenerationParams(seed=1))
-        got = aggregate_load(s.initial_demand, s.base_demand, 5)
+        bids = np.ones((s.num_es, s.num_slots))
+        got = compute_market_state(s.initial_demand, s.base_demand,
+                                   bids).load[5]
         # independent recomputation: fsum over the column in reverse order
         col = [float(s.initial_demand[i, 5] + s.base_demand[i, 5])
                for i in range(s.num_te)]
@@ -54,106 +53,54 @@ class TestAggregateLoad:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            aggregate_load(np.zeros((2, 3)), np.zeros((2, 4)), 0)
+            compute_market_state(np.zeros((2, 3)), np.zeros((2, 4)),
+                                 np.ones((2, 3)))
         with pytest.raises(DimensionError):
-            aggregate_load(np.zeros((2, 3)), np.zeros((2, 3)), 3)
+            compute_market_state(np.zeros((2, 3)), np.zeros((2, 3)),
+                                 np.ones((2, 4)))
 
 
 class TestClearingPriceAffine:
     def test_direct_substitution(self):
-        assert clearing_price_affine(np.array([2.0, 3.0, 5.0]), 20.0) == 2.0
+        assert one_slot_state([2.0, 3.0, 5.0], 20.0).price[0] == 2.0
 
     def test_zero_load(self):
-        assert clearing_price_affine(np.array([1.0]), 0.0) == 0.0
+        assert one_slot_state([1.0], 0.0).price[0] == 0.0
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateMarketError):
-            clearing_price_affine(np.array([0.0, 0.0]), 5.0)
-
-
-class TestClearingPricePiecewise:
-    def bid(self):
-        return PiecewiseBid(breakpoints=np.array([1.0]),
-                            slopes=np.array([[2.0, 3.0]]))
-
-    def test_segment_one(self):
-        # hand evaluation: p = 1.5 / 2 inside [0, 1]
-        assert clearing_price_piecewise(self.bid(), 1.5) == pytest.approx(0.75)
-
-    def test_segment_two(self):
-        # hand evaluation: p = (6.5 - 2*1) / 3 inside (1, inf)
-        assert clearing_price_piecewise(self.bid(), 6.5) == pytest.approx(1.5)
-
-    def test_zero_load(self):
-        assert clearing_price_piecewise(self.bid(), 0.0) == 0.0
-
-    def test_discontinuity_gap(self):
-        # supply jumps from 2 to 5 at the breakpoint; loads inside the jump
-        # have no consistent price
-        with pytest.raises(NoClearingPriceError) as err:
-            clearing_price_piecewise(self.bid(), 3.0)
-        assert err.value.breakpoint_price == 1.0
-
-    def test_single_segment_matches_affine_exactly(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            lam = rng.uniform(0.1, 10.0, size=4)
-            load = rng.uniform(0.0, 50.0)
-            bid = PiecewiseBid(breakpoints=np.array([]),
-                               slopes=lam[:, None])
-            assert clearing_price_piecewise(bid, load) == \
-                clearing_price_affine(lam, load)
-
-    def test_multi_es_segments(self):
-        # two suppliers, shared breakpoint at 2: hand evaluation of the
-        # segment-two price (10 - 2*(1+2)) / (4+1) = 0.8 is below the
-        # breakpoint, so the load sits in the jump
-        bid = PiecewiseBid(breakpoints=np.array([2.0]),
-                           slopes=np.array([[1.0, 4.0], [2.0, 1.0]]))
-        assert clearing_price_piecewise(bid, 3.0) == pytest.approx(1.0)
-        with pytest.raises(NoClearingPriceError):
-            clearing_price_piecewise(bid, 10.0)
-        # the second segment is open at the breakpoint, so supply 16 is
-        # only reached in the limit; 16 itself still sits in the gap
-        with pytest.raises(NoClearingPriceError):
-            clearing_price_piecewise(bid, 16.0)
-        assert clearing_price_piecewise(bid, 21.0) == pytest.approx(3.0)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            PiecewiseBid(np.array([2.0, 1.0]),
-                         np.array([[1.0, 1.0, 1.0]])).validate()
-        with pytest.raises(DimensionError):
-            PiecewiseBid(np.array([1.0]), np.array([[1.0]])).validate()
+        bids = np.array([[1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(DegenerateMarketError) as err:
+            compute_market_state(np.ones((1, 2)), np.zeros((1, 2)), bids)
+        assert err.value.slot == 1
 
 
 class TestSupplyShare:
     def test_proportional(self):
-        assert supply_share(np.array([2.0, 3.0, 5.0]), 2, 20.0) == 10.0
+        assert one_slot_state([2.0, 3.0, 5.0], 20.0).supply[2, 0] == 10.0
 
     def test_symmetry(self):
         for m in (2, 3, 7):
-            lam = np.full(m, 4.2)
-            for j in range(m):
-                assert supply_share(lam, j, 21.0) == pytest.approx(21.0 / m)
+            supply = one_slot_state(np.full(m, 4.2), 21.0).supply[:, 0]
+            np.testing.assert_allclose(supply, 21.0 / m)
 
     def test_shares_sum_to_load(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             lam = rng.uniform(0.01, 5.0, size=rng.integers(2, 9))
             load = rng.uniform(0.0, 100.0)
-            total = supply_allocation(lam, load).sum()
+            total = one_slot_state(lam, load).supply.sum()
             assert total == pytest.approx(load, rel=1e-9, abs=1e-12)
 
     def test_degenerate(self):
+        # a zero bid wins nothing; only an all-zero column is degenerate
+        assert one_slot_state([0.0, 3.0], 6.0).supply[0, 0] == 0.0
         with pytest.raises(DegenerateMarketError):
-            supply_share(np.zeros(3), 0, 5.0)
+            one_slot_state(np.zeros(3), 5.0)
 
 
 class TestEsCost:
     def test_hand_values(self):
         assert es_cost((0.01, 0.001, 0.001), 10.0) == pytest.approx(1.011)
-        assert es_cost_prime((0.01, 0.001, 0.001), 10.0) == pytest.approx(0.201)
 
     def test_constant_term(self):
         assert es_cost((0.3, 0.2, 0.7), 0.0) == 0.7
@@ -190,9 +137,10 @@ class TestEsProfit:
             coeffs = (rng.uniform(1e-4, 0.1), rng.uniform(0, 0.1), rng.uniform(0, 0.1))
             j = int(rng.integers(m))
             direct = es_profit(lam, j, load, coeffs)
-            share = supply_share(lam, j, load)
-            price = clearing_price_affine(lam, load)
-            composed = share * price - es_cost(coeffs, share)
+            composed = compute_agent_economics(
+                np.array([[load]]), np.zeros((1, 1)), lam[:, None],
+                np.tile(coeffs, (m, 1)), np.ones((1, 1)),
+                np.ones((1, 1))).es_profit[j, 0]
             assert direct == pytest.approx(composed, rel=1e-12, abs=1e-15)
 
 
@@ -273,12 +221,10 @@ class TestInvariants:
             lam = rng.uniform(0.1, 5.0, size=5)
             load = rng.uniform(0.1, 40.0)
             c = rng.uniform(0.1, 10.0)
-            p1 = clearing_price_affine(lam, load)
-            p2 = clearing_price_affine(c * lam, load)
-            assert p2 == pytest.approx(p1 / c, rel=1e-12)
-            s1 = supply_allocation(lam, load)
-            s2 = supply_allocation(c * lam, load)
-            np.testing.assert_allclose(s1, s2, rtol=1e-12)
+            st1 = one_slot_state(lam, load)
+            st2 = one_slot_state(c * lam, load)
+            assert st2.price[0] == pytest.approx(st1.price[0] / c, rel=1e-12)
+            np.testing.assert_allclose(st1.supply, st2.supply, rtol=1e-12)
 
     def test_economics_identities(self):
         s = generate_scenario(GenerationParams(

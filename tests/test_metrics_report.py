@@ -124,7 +124,7 @@ class TestReport:
 class TestEmit:
     def test_csv_bundle(self, small_run, tmp_path):
         _, _, _, report = small_run
-        paths = emit(report, tmp_path / "rep", fmt="csv")
+        paths = emit(report, tmp_path / "rep")
         doc = json.loads(open(paths["report"]).read())
         assert doc["par_before"] == pytest.approx(report.par_before)
         assert len(doc["te_payout_before"]) == 25
@@ -137,12 +137,3 @@ class TestEmit:
         profit_lines = open(paths["fig_profit"]).read().splitlines()
         assert len(profit_lines) == 1 + 4
 
-    def test_json_only(self, small_run, tmp_path):
-        _, _, _, report = small_run
-        paths = emit(report, tmp_path / "rep2", fmt="json")
-        assert set(paths) == {"report"}
-
-    def test_bad_format(self, small_run, tmp_path):
-        _, _, _, report = small_run
-        with pytest.raises(DomainError):
-            emit(report, tmp_path / "rep3", fmt="xml")
