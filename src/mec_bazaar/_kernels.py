@@ -55,18 +55,20 @@ def es_phase(lam, load, a2, a1, eta1, delta):
     """One simultaneous bid-ascent step for every supplier at every slot.
 
     Returns (new_bids, new_bid_totals, refreshed_price, bad_slot) where
-    bad_slot is the first slot whose bids sum to zero (-1 if none). Bids
-    step along ``es_direction`` and are clipped at zero.
+    bad_slot is the first slot whose bids sum to zero or overflow to a
+    non-finite total (-1 if none). Bids step along ``es_direction`` and
+    are clipped at zero.
     """
     totals = lam.sum(axis=0)
     if np.any(totals <= 0.0):
         return lam, totals, totals, int(np.argmax(totals <= 0.0))
-    new_lam = np.maximum(
-        lam + eta1 * es_direction(lam, load, a2, a1, delta), 0.0)
-    new_totals = new_lam.sum(axis=0)
-    if np.any(new_totals <= 0.0):
-        return (new_lam, new_totals, load / totals,
-                int(np.argmax(new_totals <= 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_lam = np.maximum(
+            lam + eta1 * es_direction(lam, load, a2, a1, delta), 0.0)
+        new_totals = new_lam.sum(axis=0)
+    bad = ~(np.isfinite(new_totals) & (new_totals > 0.0))
+    if np.any(bad):
+        return new_lam, new_totals, load / totals, int(np.argmax(bad))
     new_price = load / new_totals
     return new_lam, new_totals, new_price, -1
 

@@ -75,17 +75,28 @@ class EquilibriumResult:
     iterations_used: int
 
 
-def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection of ``v`` onto {x >= 0, sum x = total}."""
-    if total < 0:
+def project_simplex(v: np.ndarray, total) -> np.ndarray:
+    """Euclidean projection of ``v`` onto {x >= 0, sum x = total}, for one
+    row or for a stack of rows with one total per row."""
+    if np.any(np.less(total, 0)):
         raise DomainError("projection total must be nonnegative")
     v = np.asarray(v, dtype=float)
-    return _kernels.project_rows_np(v[None, :], np.array([float(total)]))[0]
+    out = _kernels.project_rows_np(np.atleast_2d(v), np.atleast_1d(total))
+    return out[0] if v.ndim == 1 else out
 
 
 # --------------------------------------------------------------------------
 # Orchestration
 # --------------------------------------------------------------------------
+
+def _degenerate(totals: np.ndarray, slot: int,
+                iteration: int) -> DegenerateMarketError:
+    """The error for a bid step whose totals left (0, inf) at ``slot``."""
+    what = "collapsed to zero" if np.isfinite(totals[slot]) else "overflowed"
+    return DegenerateMarketError(
+        f"bids {what} at slot {slot}, iteration {iteration}",
+        slot=slot, iteration=iteration)
+
 
 def _threshold(cfg: SolverConfig, current: np.ndarray) -> float:
     """Stopping bound for one game's step: epsilon, scaled by the norm of
@@ -135,9 +146,7 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
         lam_new, totals, price, bad = _kernels.es_phase(
             lam, load, a2, a1, eta1, cfg.singularity_delta)
         if bad >= 0:
-            raise DegenerateMarketError(
-                f"bids collapsed to zero at slot {bad}, iteration {g}",
-                slot=bad, iteration=g)
+            raise _degenerate(totals, bad, g)
         chi_new = _kernels.te_phase(chi, base, w, alpha, load, totals, q,
                                     eta2)
         delta = float(np.linalg.norm(chi_new - chi))
@@ -195,12 +204,10 @@ def supplier_fixed_point(loads: np.ndarray, cost_coeffs: np.ndarray,
     converged = False
     iterations = 0
     for g in range(1, solver.max_iterations + 1):
-        new_lam, _, _, bad = _kernels.es_phase(lam, loads, a2, a1, eta1,
-                                               solver.singularity_delta)
+        new_lam, totals, _, bad = _kernels.es_phase(
+            lam, loads, a2, a1, eta1, solver.singularity_delta)
         if bad >= 0:
-            raise DegenerateMarketError(
-                f"bids collapsed to zero at slot {bad}, iteration {g}",
-                slot=bad, iteration=g)
+            raise _degenerate(totals, bad, g)
         delta = float(np.linalg.norm(new_lam - lam))
         lam = new_lam
         iterations = g

@@ -9,7 +9,7 @@ part of the contract:
   1  I/O or parse failure
   2  bad flags or invalid parameter values
   3  solver hit the iteration cap without converging
-  4  degenerate market (all bids zero at some slot)
+  4  degenerate market (all bids zero, or overflowing, at some slot)
   5  oracle refused a two-supplier market
   6  oracle found a tolerance violation (equilibrium probes,
      gradient checks, or best-response gains)
@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -115,6 +116,15 @@ _GEN_RANGE_KEYS = {"base_demand_range", "shiftable_fraction_range",
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
+def _number(key: str, value) -> float:
+    """A generation parameter's value as a float; booleans and text are
+    refused, naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"parameter {key!r} must be a number, "
+                          f"got {value!r}")
+    return float(value)
+
+
 def _gen_params_from_args(args) -> GenerationParams:
     overrides = _parse_params(args.param)
     gen_kwargs = {
@@ -136,11 +146,11 @@ def _gen_params_from_args(args) -> GenerationParams:
                 raise DomainError(f"unknown range parameter {base!r}")
             lo, hi = gen_kwargs.get(base, getattr(GenerationParams(), base))
             if key.endswith("_lo"):
-                gen_kwargs[base] = (float(value), hi)
+                gen_kwargs[base] = (_number(key, value), hi)
             else:
-                gen_kwargs[base] = (lo, float(value))
+                gen_kwargs[base] = (lo, _number(key, value))
         elif key in {"a1", "a0", "alpha"}:
-            gen_kwargs[key] = float(value)
+            gen_kwargs[key] = _number(key, value)
         else:
             raise DomainError(f"unknown generation parameter {key!r}")
     params = GenerationParams(
@@ -268,8 +278,9 @@ def cmd_run(args) -> int:
 def _read_grid(path: str, shape: tuple[int, int], fields: int) -> np.ndarray:
     """Read an ``id,slot,...,value`` CSV of a result bundle into a matrix.
 
-    Each (id, slot) pair must appear exactly once and in range; anything
-    else raises ValueError naming the file and line.
+    Each (id, slot) pair must appear exactly once and in range, with a
+    finite value; anything else raises ValueError naming the file and
+    line.
     """
     out = np.empty(shape)
     seen = np.zeros(shape, dtype=bool)
@@ -285,8 +296,11 @@ def _read_grid(path: str, shape: tuple[int, int], fields: int) -> np.ndarray:
                     raise ValueError(f"({row}, {slot}) is out of range")
                 if seen[row, slot]:
                     raise ValueError(f"({row}, {slot}) appears twice")
+                value = float(cells[-1])
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite value {cells[-1]!r}")
                 seen[row, slot] = True
-                out[row, slot] = float(cells[-1])
+                out[row, slot] = value
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
     if not seen.all():
@@ -356,17 +370,13 @@ def cmd_oracle(args) -> int:
         payoffs = market_model.compute_agent_economics(
             demand, scenario.base_demand, bids, scenario.cost_coeffs,
             scenario.utility_w, scenario.utility_alpha).te_payoff
-        gains = []
-        for i in range(scenario.num_te):
-            _, gain = best_response(demand, scenario.base_demand, i, bids,
-                                    scenario.utility_w,
-                                    scenario.utility_alpha)
-            payoff = float(payoffs[i])
-            gains.append({"te": i, "gain": gain,
-                          "relative": gain / max(abs(payoff), 1e-300)})
-        worst = max(g["relative"] for g in gains)
-        report["best_response"] = {"worst_relative_gain": worst,
-                                   "gains": gains}
+        _, gains = best_response(demand, scenario.base_demand, bids,
+                                 scenario.utility_w, scenario.utility_alpha)
+        relative = gains / np.maximum(np.abs(payoffs), 1e-300)
+        worst = float(relative.max())
+        report["best_response"] = {"worst_relative_gain": worst, "gains": [
+            {"te": i, "gain": g, "relative": r} for i, (g, r)
+            in enumerate(zip(gains.tolist(), relative.tolist()))]}
         if worst > 1e-3:
             report["passed"] = False
 

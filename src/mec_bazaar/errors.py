@@ -14,7 +14,8 @@ class DomainError(MarketError):
 
 
 class DegenerateMarketError(MarketError):
-    """All bids at a slot sum to zero, so the clearing price is undefined.
+    """The bids at a slot sum to zero or overflow, so the clearing price is
+    undefined.
 
     Carries optional slot / iteration context so a solver abort can be
     traced back to where the market collapsed.

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mec_bazaar._kernels import es_direction, es_phase, te_gradient, te_phase
 from mec_bazaar.bidding_games import (
@@ -13,6 +14,11 @@ from mec_bazaar.bidding_games import (
 from mec_bazaar.errors import DegenerateMarketError, DomainError
 from mec_bazaar.market_model import SolverConfig, es_profit
 from mec_bazaar.scenario_io import GenerationParams, generate_scenario
+
+# Derandomized, so every run draws the same examples; no deadline, since
+# a shared host can stall any single example.
+deterministic = settings(derandomize=True, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
 
 
 def projection_reference(v, total, tol=1e-13):
@@ -221,6 +227,66 @@ class TestProjectSimplex:
     def test_negative_total(self):
         with pytest.raises(DomainError):
             project_simplex(np.array([1.0]), -1.0)
+
+
+def random_rows(seed: int):
+    """A stack of 1-6 rows over 1-8 slots with mixed-sign entries and one
+    total per row, some of them zero."""
+    rng = np.random.default_rng(seed)
+    r, t = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+    v = rng.normal(0.0, rng.uniform(0.1, 100.0), size=(r, t))
+    totals = rng.uniform(0.0, 50.0, size=r) * (rng.random(r) > 0.2)
+    return v, totals
+
+
+class TestProjectSimplexProperties:
+    @deterministic
+    @given(seed=seeds)
+    def test_feasible(self, seed):
+        v, totals = random_rows(seed)
+        x = project_simplex(v, totals)
+        assert x.shape == v.shape
+        assert np.all(x >= 0.0)
+        np.testing.assert_allclose(x.sum(axis=1), totals, rtol=1e-12,
+                                   atol=1e-12)
+
+    @deterministic
+    @given(seed=seeds)
+    def test_idempotent(self, seed):
+        v, totals = random_rows(seed)
+        x = project_simplex(v, totals)
+        np.testing.assert_allclose(project_simplex(x, totals), x,
+                                   rtol=1e-12, atol=1e-12)
+
+    @deterministic
+    @given(seed=seeds)
+    def test_kkt(self, seed):
+        # x = max(v - theta, 0): one shift theta on the support, and no
+        # entry off the support above it
+        v, totals = random_rows(seed)
+        x = project_simplex(v, totals)
+        for vi, xi in zip(v, x):
+            support = xi > 0.0
+            if not support.any():
+                continue
+            shift = (vi - xi)[support]
+            tol = 1e-12 * (1.0 + np.max(np.abs(vi)))
+            assert np.ptp(shift) <= tol
+            assert np.all(vi[~support] <= shift.min() + tol)
+
+    @deterministic
+    @given(seed=seeds)
+    def test_rows_match_single_projection(self, seed):
+        v, totals = random_rows(seed)
+        x = project_simplex(v, totals)
+        for vi, total, xi in zip(v, totals, x):
+            single = project_simplex(vi, total)
+            assert single.shape == vi.shape
+            assert np.array_equal(xi, single)
+
+    def test_negative_total_in_batch(self):
+        with pytest.raises(DomainError):
+            project_simplex(np.ones((2, 3)), np.array([1.0, -1.0]))
 
 
 class TestTeUpdateStep:

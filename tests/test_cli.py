@@ -92,6 +92,15 @@ class TestGen:
         assert not (tmp_path / "x.json").exists()
 
 
+    @pytest.mark.parametrize("param", ["a1=true", "w_range_lo=false"])
+    def test_boolean_param_rejected(self, tmp_path, param):
+        out = cli("gen", "--seed", "2", "--tes", "5", "--param", param,
+                  "-o", str(tmp_path / "x.json"))
+        assert out.returncode == 2
+        assert param.split("=")[0] in out.stderr
+        assert not (tmp_path / "x.json").exists()
+
+
 class TestRun:
     def test_smoke(self, small_scenario, tmp_path):
         out_dir = tmp_path / "out"
@@ -156,6 +165,20 @@ class TestRun:
         assert out.returncode == 4
         assert "degenerate" in out.stderr.lower()
         assert "slot" in out.stderr
+
+    def test_overflowing_bid_step(self, tmp_path):
+        path = tmp_path / "s.json"
+        assert cli("gen", "--seed", "1", "--tes", "20", "--ess", "3",
+                   "--slots", "4", "-o", str(path)).returncode == 0
+        out_dir = tmp_path / "o"
+        out = cli("run", "--scenario", str(path), "--out-dir", str(out_dir),
+                  "--param", "solver.eta1_init=1e308")
+        assert out.returncode == 4
+        lines = [line for line in out.stderr.splitlines() if line.strip()]
+        assert len(lines) == 1, out.stderr
+        assert lines[0].startswith("ERROR ") and "overflowed" in lines[0]
+        assert re.search(r"slot \d+, iteration \d+", lines[0])
+        assert not (out_dir / "result.json").exists()
 
     def test_non_finite_scenario_rejected(self, tmp_path):
         path = tmp_path / "nan.json"
@@ -329,6 +352,25 @@ class TestOracle:
         assert out.returncode == 1
         assert "bids.csv" in out.stderr and "out of range" in out.stderr
         assert "Traceback" not in out.stderr
+
+
+    @pytest.mark.parametrize("name", ["demands.csv", "bids.csv"])
+    def test_non_finite_value_rejected(self, small_scenario, small_bundle,
+                                       tmp_path, name):
+        bundle = tmp_path / "nan"
+        bundle.mkdir()
+        for csv in ("demands.csv", "bids.csv"):
+            lines = (small_bundle / csv).read_text().splitlines()
+            if csv == name:
+                lines[1] = lines[1][:lines[1].rindex(",")] + ",nan"
+            (bundle / csv).write_text("\n".join(lines) + "\n")
+        report_path = tmp_path / "r.json"
+        out = cli("oracle", "--scenario", str(small_scenario), "--slot", "0",
+                  "--samples", "5", "--result", str(bundle),
+                  "-o", str(report_path))
+        assert out.returncode == 1
+        assert f"{name}, line 2" in out.stderr and "non-finite" in out.stderr
+        assert not report_path.exists()
 
 
 def readme_cli_flags() -> dict:

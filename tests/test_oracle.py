@@ -178,10 +178,10 @@ class TestBestResponse:
         s = generate_scenario(GenerationParams(
             num_te=2, num_es=3, num_slots=1, seed=4))
         bids = np.full((3, 1), 100.0)
-        row, gain = best_response(s.initial_demand, s.base_demand, 0, bids,
-                                  s.utility_w, s.utility_alpha)
-        assert gain == pytest.approx(0.0, abs=1e-12)
-        assert row[0] == pytest.approx(s.shiftable_total[0])
+        rows, gains = best_response(s.initial_demand, s.base_demand, bids,
+                                    s.utility_w, s.utility_alpha)
+        assert gains[0] == pytest.approx(0.0, abs=1e-12)
+        assert rows[0, 0] == pytest.approx(s.shiftable_total[0])
 
     def test_gain_nonnegative_from_random_rows(self):
         s = generate_scenario(GenerationParams(
@@ -191,16 +191,15 @@ class TestBestResponse:
         chi = s.initial_demand.copy()
         raw = rng.uniform(0.1, 1.0, size=5)
         chi[1] = raw / raw.sum() * s.shiftable_total[1]
-        _, gain = best_response(chi, s.base_demand, 1, bids, s.utility_w,
-                                s.utility_alpha)
-        assert gain >= -1e-12
+        _, gains = best_response(chi, s.base_demand, bids, s.utility_w,
+                                 s.utility_alpha)
+        assert gains[1] >= -1e-12
 
     def test_eps_nash_at_convergence(self):
         s, res = self.small_converged()
-        for i in range(s.num_te):
-            _, gain = best_response(res.demand, s.base_demand, i, res.bids,
-                                    s.utility_w, s.utility_alpha)
-            assert gain <= 1e-3 * abs(res.economics.te_payoff[i])
+        _, gains = best_response(res.demand, s.base_demand, res.bids,
+                                 s.utility_w, s.utility_alpha)
+        assert np.all(gains <= 1e-3 * np.abs(res.economics.te_payoff))
 
     def test_small_instance_bids_match_oracle(self):
         s, res = self.small_converged()

@@ -97,7 +97,7 @@ class TestPsiClosedForm:
 
 def random_market(seed: int):
     """A small market whose utilities saturate in some slots and not in
-    others, with customer 0's row drawn at random."""
+    others, with every customer's row drawn at random."""
     rng = np.random.default_rng(seed)
     n, t = int(rng.integers(1, 7)), int(rng.integers(1, 9))
     base = rng.uniform(0.0, 10.0, size=(n, t))
@@ -109,18 +109,22 @@ def random_market(seed: int):
     return rng, chi, base, bids, w, alpha
 
 
-def gradient(row, chi, base, bids, w, alpha):
-    """Customer 0's marginal payoff U'(x) - (o + 2x)/Lambda per slot."""
-    x = row + base[0]
-    others = (chi[1:] + base[1:]).sum(axis=0)
-    up = np.where(x * alpha[0] <= w[0], w[0] - alpha[0] * x, 0.0)
-    return up - (others + 2.0 * x) / bids.sum(axis=0)
+def others_load(i, chi, base):
+    """Per-slot load of every customer but i."""
+    rest = np.arange(chi.shape[0]) != i
+    return (chi[rest] + base[rest]).sum(axis=0)
 
 
-def payoff(row, chi, base, bids, w, alpha):
-    others = (chi[1:] + base[1:]).sum(axis=0)
-    prices = (others + row + base[0]) / bids.sum(axis=0)
-    return te_payoff(row, base[0], prices, w[0], alpha[0])
+def gradient(i, row, chi, base, bids, w, alpha):
+    """Customer i's marginal payoff U'(x) - (o + 2x)/Lambda per slot."""
+    x = row + base[i]
+    up = np.where(x * alpha[i] <= w[i], w[i] - alpha[i] * x, 0.0)
+    return up - (others_load(i, chi, base) + 2.0 * x) / bids.sum(axis=0)
+
+
+def payoff(i, row, chi, base, bids, w, alpha):
+    prices = (others_load(i, chi, base) + row + base[i]) / bids.sum(axis=0)
+    return te_payoff(row, base[i], prices, w[i], alpha[i])
 
 
 class TestBestResponseProperties:
@@ -128,32 +132,36 @@ class TestBestResponseProperties:
     @given(seed=seeds)
     def test_feasible(self, seed):
         _, chi, base, bids, w, alpha = random_market(seed)
-        row, _ = best_response(chi, base, 0, bids, w, alpha)
-        assert np.all(row >= 0.0)
-        assert row.sum() == pytest.approx(chi[0].sum(), rel=1e-12)
+        rows, gains = best_response(chi, base, bids, w, alpha)
+        assert rows.shape == chi.shape and gains.shape == chi.shape[:1]
+        assert np.all(rows >= 0.0)
+        np.testing.assert_allclose(rows.sum(axis=1), chi.sum(axis=1),
+                                   rtol=1e-12)
 
     @deterministic
     @given(seed=seeds)
     def test_kkt(self, seed):
         # equal marginal payoff on the support, no larger off it
         _, chi, base, bids, w, alpha = random_market(seed)
-        row, _ = best_response(chi, base, 0, bids, w, alpha)
-        g = gradient(row, chi, base, bids, w, alpha)
-        support = row > 1e-9 * chi[0].sum()
-        tol = 1e-8 * (1.0 + np.max(np.abs(g)))
-        assert np.ptp(g[support]) <= tol
-        assert np.all(g[~support] <= g[support].min() + tol)
+        rows, _ = best_response(chi, base, bids, w, alpha)
+        for i, row in enumerate(rows):
+            g = gradient(i, row, chi, base, bids, w, alpha)
+            support = row > 1e-9 * chi[i].sum()
+            tol = 1e-8 * (1.0 + np.max(np.abs(g)))
+            assert np.ptp(g[support]) <= tol
+            assert np.all(g[~support] <= g[support].min() + tol)
 
     @deterministic
     @given(seed=seeds)
     def test_no_random_row_does_better(self, seed):
         rng, chi, base, bids, w, alpha = random_market(seed)
-        row, gain = best_response(chi, base, 0, bids, w, alpha)
-        best = payoff(row, chi, base, bids, w, alpha)
-        start = payoff(chi[0], chi, base, bids, w, alpha)
-        tol = 1e-10 * max(abs(best), 1.0)
-        assert gain == pytest.approx(best - start, abs=tol)
-        assert gain >= -tol
-        q = chi[0].sum()
-        for y in rng.dirichlet(np.ones(chi.shape[1]) * 0.5, size=50) * q:
-            assert payoff(y, chi, base, bids, w, alpha) <= best + tol
+        rows, gains = best_response(chi, base, bids, w, alpha)
+        for i, (row, gain) in enumerate(zip(rows, gains)):
+            best = payoff(i, row, chi, base, bids, w, alpha)
+            start = payoff(i, chi[i], chi, base, bids, w, alpha)
+            tol = 1e-10 * max(abs(best), 1.0)
+            assert gain == pytest.approx(best - start, abs=tol)
+            assert gain >= -tol
+            q = chi[i].sum()
+            for y in rng.dirichlet(np.ones(chi.shape[1]) * 0.5, size=50) * q:
+                assert payoff(i, y, chi, base, bids, w, alpha) <= best + tol
