@@ -16,10 +16,41 @@ import numpy as np
 def project_rows_np(cand: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Project each row of ``cand`` onto {x >= 0, sum x = total}.
 
-    Exact sort-and-threshold projection, vectorized over rows.
+    Exact sort-and-threshold projection, vectorized over rows. With the
+    row sorted descending (u) and css its running sum, the threshold index
+    rho is the last k with u_k (k+1) > css_k - total.
+
+    Fast path: where that test holds at k = T-1 (the row's smallest entry
+    stays positive after the shift), rho = T-1 and the projection is the
+    uniform shift theta = (css_{T-1} - total) / T. This holds for every
+    row of the reference and wide runs. css_{T-1} is summed one sorted
+    column at a time from the largest entry down, the order in which
+    ``np.cumsum`` adds (``np.sum`` adds pairwise and would change the
+    last bits), so the test and theta have the full computation's bits.
+    Only the other rows (clipped entries, zero totals, NaN) are run
+    through the full computation, which treats each row on its own.
     """
     r, t = cand.shape
-    u = np.sort(cand, axis=1)[:, ::-1]
+    totals = np.broadcast_to(totals, (r,))
+    srt = np.sort(cand, axis=1)
+    s = srt[:, t - 1].copy()
+    for j in range(t - 2, -1, -1):
+        s += srt[:, j]
+    s -= totals
+    shift = srt[:, 0] * float(t) > s
+    s /= float(t)
+    out = np.maximum(cand - s[:, None], 0.0)
+    if not shift.all():
+        slow = ~shift
+        out[slow] = _project_sorted(cand[slow], srt[slow], totals[slow])
+    return out
+
+
+def _project_sorted(cand, srt, totals):
+    """Sort-and-threshold projection of rows whose ascending sort is
+    ``srt``: the general case behind ``project_rows_np``."""
+    r, t = cand.shape
+    u = srt[:, ::-1]
     css = np.cumsum(u, axis=1)
     k = np.arange(1.0, t + 1.0)
     cond = u * k > css - totals[:, None]
@@ -79,10 +110,16 @@ def te_gradient(chi, base, w, alpha, load, totals):
     U'(x) - (L + x) / sum(bids) with x = chi + base, per customer and
     slot; the second term carries the customer's own impact on the
     clearing price. ``load`` and ``totals`` are per-slot.
+
+    U'(x) = max(w - alpha x, 0): for finite inputs, fl(w - alpha x) >= 0
+    exactly when alpha x <= w, so this has the bits of the piecewise form.
     """
     x = chi + base
-    up = np.where(x * alpha <= w, w - alpha * x, 0.0)
-    return up - (load + x) / totals
+    up = np.maximum(w - alpha * x, 0.0)
+    x += load
+    x /= totals
+    up -= x
+    return up
 
 
 def te_phase(chi, base, w, alpha, load, totals, q, eta2):
@@ -92,4 +129,6 @@ def te_phase(chi, base, w, alpha, load, totals, q, eta2):
     fixed daily total (Euclidean projection).
     """
     grad = te_gradient(chi, base, w, alpha, load, totals)
-    return project_rows_np(chi + eta2 * grad, q)
+    grad *= eta2
+    grad += chi
+    return project_rows_np(grad, q)

@@ -98,6 +98,21 @@ def _degenerate(totals: np.ndarray, slot: int,
         slot=slot, iteration=iteration)
 
 
+def _bid_step_norm(new: np.ndarray, old: np.ndarray,
+                   iteration: int) -> float:
+    """Frobenius norm of a bid step; a step too large for a finite norm
+    is an overflow of the slot with the largest move."""
+    step = new - old
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(step))
+    if not np.isfinite(norm):
+        slot = int(np.argmax(np.abs(step).max(axis=0)))
+        raise DegenerateMarketError(
+            f"bid step overflowed at slot {slot}, iteration {iteration}",
+            slot=slot, iteration=iteration)
+    return norm
+
+
 def _threshold(cfg: SolverConfig, current: np.ndarray) -> float:
     """Stopping bound for one game's step: epsilon, scaled by the norm of
     the freshly updated matrix when ``relative_stopping`` is set."""
@@ -141,16 +156,17 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
 
     status = STATUS_ITERATION_CAP
     iterations = 0
+    base_load = base.sum(axis=0)
     for g in range(1, cfg.max_iterations + 1):
-        load = chi.sum(axis=0) + base.sum(axis=0)
+        load = chi.sum(axis=0) + base_load
         lam_new, totals, price, bad = _kernels.es_phase(
             lam, load, a2, a1, eta1, cfg.singularity_delta)
         if bad >= 0:
             raise _degenerate(totals, bad, g)
+        bid_delta = _bid_step_norm(lam_new, lam, g)
         chi_new = _kernels.te_phase(chi, base, w, alpha, load, totals, q,
                                     eta2)
         delta = float(np.linalg.norm(chi_new - chi))
-        bid_delta = float(np.linalg.norm(lam_new - lam))
         rec_iter.append(g)
         rec_price.append(price)
         rec_load.append(load)
@@ -208,7 +224,7 @@ def supplier_fixed_point(loads: np.ndarray, cost_coeffs: np.ndarray,
             lam, loads, a2, a1, eta1, solver.singularity_delta)
         if bad >= 0:
             raise _degenerate(totals, bad, g)
-        delta = float(np.linalg.norm(new_lam - lam))
+        delta = _bid_step_norm(new_lam, lam, g)
         lam = new_lam
         iterations = g
         eta1 *= solver.eta1_decay

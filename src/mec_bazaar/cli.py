@@ -9,7 +9,8 @@ part of the contract:
   1  I/O or parse failure
   2  bad flags or invalid parameter values
   3  solver hit the iteration cap without converging
-  4  degenerate market (all bids zero, or overflowing, at some slot)
+  4  degenerate market (all bids zero, or overflowing, at some slot,
+     or a bid step whose norm overflows)
   5  oracle refused a two-supplier market
   6  oracle found a tolerance violation (equilibrium probes,
      gradient checks, or best-response gains)

@@ -15,7 +15,7 @@ class DomainError(MarketError):
 
 class DegenerateMarketError(MarketError):
     """The bids at a slot sum to zero or overflow, so the clearing price is
-    undefined.
+    undefined, or a bid step overflows its Frobenius norm.
 
     Carries optional slot / iteration context so a solver abort can be
     traced back to where the market collapsed.

@@ -175,6 +175,27 @@ def _scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _write_json(fh, doc: dict) -> None:
+    """Write ``doc`` with the bytes of ``json.dump(doc, fh)``.
+
+    ``json.dump`` streams through the pure-Python encoder, and one
+    ``json.dumps`` of the whole document runs the C encoder but holds all
+    of its text in memory. Here each top-level value goes through
+    ``json.dumps`` on its own, lists one element (a table row) at a time.
+    """
+    fh.write("{")
+    for n, (key, value) in enumerate(doc.items()):
+        fh.write(f"{', ' if n else ''}{json.dumps(key)}: ")
+        if isinstance(value, list):
+            fh.write("[")
+            for k, item in enumerate(value):
+                fh.write(f"{', ' if k else ''}{json.dumps(item)}")
+            fh.write("]")
+        else:
+            fh.write(json.dumps(value))
+    fh.write("}")
+
+
 def save_scenario(path: str, scenario: Scenario,
                   generation: GenerationParams | None = None) -> None:
     """Write a scenario file; optionally record its generation recipe."""
@@ -185,7 +206,7 @@ def save_scenario(path: str, scenario: Scenario,
         gen.pop("solver", None)  # already mirrored in the solver block
         doc["generation"] = gen
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        _write_json(fh, doc)
         fh.write("\n")
 
 
@@ -310,12 +331,13 @@ def save_result(out_dir: str, result, scenario: Scenario) -> dict:
           float(trace.load[k, t]), float(trace.delta[k]),
           float(trace.eta1[k]), float(trace.eta2[k]))
          for k in range(trace.iteration.size) for t in slots))
-    _write_csv(
-        paths["demands"],
-        ["te_id", "slot", "chi_before", "chi_after"],
-        ((i, t, float(scenario.initial_demand[i, t]),
-          float(result.demand[i, t]))
-         for i in range(scenario.num_te) for t in slots))
+    with open(paths["demands"], "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("te_id,slot,chi_before,chi_after\n")
+        fh.writelines(
+            f"{i},{t},{b!r},{a!r}\n"
+            for i, (before, after) in enumerate(zip(
+                scenario.initial_demand, result.demand))
+            for t, (b, a) in enumerate(zip(before.tolist(), after.tolist())))
     _write_csv(
         paths["bids"],
         ["es_id", "slot", "lambda_final"],

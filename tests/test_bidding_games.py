@@ -393,6 +393,18 @@ class TestRunDtoa:
 
 
 class TestSupplierFixedPoint:
+    def test_overflowing_step_norm_raises(self):
+        # finite bids (about 3e300) whose step has no finite norm
+        s = generate_scenario(GenerationParams(
+            num_te=20, num_es=3, num_slots=4, seed=1))
+        loads = (s.initial_demand + s.base_demand).sum(axis=0)
+        cfg = SolverConfig(eta1_init=1e300)
+        with pytest.raises(DegenerateMarketError,
+                           match="bid step overflowed") as exc:
+            supplier_fixed_point(loads, s.cost_coeffs, cfg)
+        assert exc.value.iteration == 1
+        assert 0 <= exc.value.slot < 4
+
     def test_matches_oracle_price(self):
         from mec_bazaar.equilibrium_oracle import solve_supplier_equilibrium
         rng = np.random.default_rng(19)

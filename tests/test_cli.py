@@ -180,6 +180,22 @@ class TestRun:
         assert re.search(r"slot \d+, iteration \d+", lines[0])
         assert not (out_dir / "result.json").exists()
 
+    def test_bid_step_with_overflowing_norm(self, tmp_path):
+        # the bids stay finite (about 3e300), but the step's Frobenius
+        # norm does not: one supplier would take the whole load
+        path = tmp_path / "s.json"
+        assert cli("gen", "--seed", "1", "--tes", "20", "--ess", "3",
+                   "--slots", "4", "-o", str(path)).returncode == 0
+        out_dir = tmp_path / "o"
+        out = cli("run", "--scenario", str(path), "--out-dir", str(out_dir),
+                  "--param", "solver.eta1_init=1e300")
+        assert out.returncode == 4
+        lines = [line for line in out.stderr.splitlines() if line.strip()]
+        assert len(lines) == 1, out.stderr
+        assert lines[0].startswith("ERROR ") and "overflowed" in lines[0]
+        assert re.search(r"slot \d+, iteration 1\b", lines[0])
+        assert not (out_dir / "result.json").exists()
+
     def test_non_finite_scenario_rejected(self, tmp_path):
         path = tmp_path / "nan.json"
         save_scenario(path, generate_scenario(GenerationParams(

@@ -1,8 +1,91 @@
-"""Tests of the solver's phase kernels: projection and degenerate cases."""
+"""Tests of the solver's phase kernels: projection and degenerate cases.
+
+The customer phase is checked bit for bit against the plain formulas
+below, which are the reference the kernels must reproduce exactly.
+"""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from mec_bazaar import _kernels
+from mec_bazaar.bidding_games import run_dtoa
+from mec_bazaar.scenario_io import (
+    GenerationParams,
+    generate_scenario,
+    save_result,
+)
+
+deterministic = settings(derandomize=True, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def project_reference(cand, totals):
+    """Sort-and-threshold projection of every row onto {x >= 0, sum x =
+    total}: rho is the last k with u_k (k+1) > css_k - total."""
+    r, t = cand.shape
+    u = np.sort(cand, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    k = np.arange(1.0, t + 1.0)
+    cond = u * k > css - totals[:, None]
+    any_true = cond.any(axis=1)
+    rho = t - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = (css[np.arange(r), rho] - totals) / (rho + 1.0)
+    out = np.maximum(cand - theta[:, None], 0.0)
+    out[~any_true] = 0.0
+    return out
+
+
+def gradient_reference(chi, base, w, alpha, load, totals):
+    x = chi + base
+    up = np.where(x * alpha <= w, w - alpha * x, 0.0)
+    return up - (load + x) / totals
+
+
+def te_phase_reference(chi, base, w, alpha, load, totals, q, eta2):
+    grad = gradient_reference(chi, base, w, alpha, load, totals)
+    return project_reference(chi + eta2 * grad, q)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def shift_path(cand, totals):
+    """Rows whose projection is a uniform shift (the k = T-1 test)."""
+    u = np.sort(cand, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    return u[:, -1] * float(u.shape[1]) > css[:, -1] - totals
+
+
+SHAPES = ("spread", "ties", "all_equal")
+TOTALS = ("unclipped", "clipped", "one_left", "zero")
+
+
+def make_row(rng, shape, total, t):
+    """One candidate row of ``shape`` with a total that clips none, some,
+    all but about one, or all of its entries."""
+    scale = rng.uniform(0.1, 1e4)
+    if shape == "ties":
+        v = rng.integers(-2, 3, size=t) * scale
+    elif shape == "all_equal":
+        v = np.full(t, rng.normal(0.0, scale))
+    else:
+        v = rng.normal(0.0, scale, size=t)
+    if total == "unclipped":
+        q = v.sum() - t * v.min() + rng.uniform(0.1, 10.0) * scale
+    elif total == "clipped":
+        q = rng.uniform(0.0, 1.0) * scale
+    elif total == "one_left":
+        q = 1e-3 * scale
+    else:
+        q = 0.0
+    return v, max(q, 0.0)
+
+
+rows = st.lists(st.tuples(st.sampled_from(SHAPES), st.sampled_from(TOTALS)),
+                min_size=1, max_size=8)
 
 
 class TestProjectRowsParity:
@@ -19,6 +102,118 @@ class TestProjectRowsParity:
         out = _kernels.project_rows_np(np.array([[3.0, -1.0]]),
                                        np.array([0.0]))
         np.testing.assert_array_equal(out, [[0.0, 0.0]])
+
+
+class TestProjectRowsExact:
+    @deterministic
+    @given(seed=seeds, t=st.integers(1, 30), kinds=rows)
+    def test_matches_sort_and_threshold(self, seed, t, kinds):
+        rng = np.random.default_rng(seed)
+        made = [make_row(rng, shape, total, t) for shape, total in kinds]
+        cand = np.array([v for v, _ in made])
+        totals = np.array([q for _, q in made])
+        assert_same_bits(_kernels.project_rows_np(cand, totals),
+                         project_reference(cand, totals))
+
+    @deterministic
+    @given(seed=seeds, t=st.integers(1, 30))
+    def test_unclipped_rows_take_only_the_shift(self, seed, t):
+        rng = np.random.default_rng(seed)
+        made = [make_row(rng, "spread", "unclipped", t) for _ in range(5)]
+        cand = np.array([v for v, _ in made])
+        totals = np.array([q for _, q in made])
+        assert shift_path(cand, totals).all()
+        assert_same_bits(_kernels.project_rows_np(cand, totals),
+                         project_reference(cand, totals))
+
+    def test_mixed_batch_sends_only_failing_rows_to_the_sort(self,
+                                                             monkeypatch):
+        rng = np.random.default_rng(4)
+        kinds = [("spread", "unclipped"), ("spread", "clipped"),
+                 ("ties", "unclipped"), ("spread", "zero"),
+                 ("all_equal", "unclipped"), ("spread", "one_left")]
+        made = [make_row(rng, shape, total, 12) for shape, total in kinds]
+        cand = np.array([v for v, _ in made])
+        totals = np.array([q for _, q in made])
+        fast = shift_path(cand, totals)
+        assert 0 < fast.sum() < len(kinds)
+        seen = []
+        full = _kernels._project_sorted
+
+        def spy(c, srt, q):
+            seen.append(c.copy())
+            return full(c, srt, q)
+
+        monkeypatch.setattr(_kernels, "_project_sorted", spy)
+        out = _kernels.project_rows_np(cand, totals)
+        assert len(seen) == 1
+        assert_same_bits(seen[0], cand[~fast])
+        assert_same_bits(out, project_reference(cand, totals))
+
+    def test_nan_row_zeroed_like_the_sort(self):
+        cand = np.array([[1.0, np.nan, 2.0], [1.0, 2.0, 3.0]])
+        totals = np.array([5.0, 30.0])
+        out = _kernels.project_rows_np(cand, totals)
+        assert_same_bits(out, project_reference(cand, totals))
+        np.testing.assert_array_equal(out[0], 0.0)
+
+def customer_inputs(rng, n, t):
+    """Customer-phase inputs with some cells at exactly alpha x = w (the
+    first always) and some saturated, alpha x > w (the last always)."""
+    chi = rng.uniform(0.0, 3.0, size=(n, t))
+    base = rng.uniform(0.0, 3.0, size=(n, t))
+    alpha = rng.uniform(0.1, 0.9, size=(n, t))
+    w = rng.uniform(0.5, 3.0, size=(n, t))
+    pick = rng.random((n, t))
+    w = np.where(pick < 0.2, (chi + base) * alpha, w)
+    w[0, 0] = (chi[0, 0] + base[0, 0]) * alpha[0, 0]
+    w[-1, -1] = 0.5 * (chi[-1, -1] + base[-1, -1]) * alpha[-1, -1]
+    load = chi.sum(axis=0) + base.sum(axis=0)
+    totals = rng.uniform(1.0, 50.0, size=t)
+    return chi, base, w, alpha, load, totals
+
+
+class TestCustomerPhaseExact:
+    @deterministic
+    @given(seed=seeds, n=st.integers(1, 20), t=st.integers(2, 12))
+    def test_gradient_matches_where_form(self, seed, n, t):
+        args = customer_inputs(np.random.default_rng(seed), n, t)
+        chi, base, w, alpha = args[:4]
+        x = chi + base
+        assert_same_bits(_kernels.te_gradient(*args),
+                         gradient_reference(*args))
+        assert np.any(x * alpha == w) and np.any(x * alpha > w)
+
+    @deterministic
+    @given(seed=seeds, n=st.integers(1, 20), t=st.integers(1, 12),
+           eta2=st.floats(1e-3, 1e3))
+    def test_phase_matches_reference(self, seed, n, t, eta2):
+        rng = np.random.default_rng(seed)
+        args = customer_inputs(rng, n, t)
+        q = args[0].sum(axis=1) * rng.uniform(0.0, 1.5, size=n)
+        before = [a.copy() for a in args]
+        assert_same_bits(_kernels.te_phase(*args, q, eta2),
+                         te_phase_reference(*args, q, eta2))
+        for a, b in zip(args, before):
+            assert_same_bits(a, b)
+
+
+class TestBundleBytes:
+    def test_bundle_identical_to_reference_kernels(self, tmp_path,
+                                                   monkeypatch):
+        scenario = generate_scenario(GenerationParams(
+            num_te=50, num_es=4, num_slots=6, seed=1))
+        result = run_dtoa(scenario)
+        assert result.iterations_used > 1
+        save_result(str(tmp_path / "kernels"), result, scenario)
+        monkeypatch.setattr(_kernels, "project_rows_np", project_reference)
+        monkeypatch.setattr(_kernels, "te_gradient", gradient_reference)
+        monkeypatch.setattr(_kernels, "te_phase", te_phase_reference)
+        save_result(str(tmp_path / "reference"), run_dtoa(scenario),
+                    scenario)
+        for name in ("result.json", "trace.csv", "demands.csv", "bids.csv"):
+            assert ((tmp_path / "kernels" / name).read_bytes()
+                    == (tmp_path / "reference" / name).read_bytes()), name
 
 
 class TestPhaseParity:

@@ -11,6 +11,7 @@ from mec_bazaar.scenario_io import (
     GenerationParams,
     generate_scenario,
     load_scenario,
+    _write_json,
     save_result,
     save_scenario,
 )
@@ -95,6 +96,23 @@ class TestScenarioRoundTrip:
         save_scenario(p2, s)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_bytes_match_json_dump(self, tmp_path):
+        params = GenerationParams(num_te=5, num_es=3, num_slots=4, seed=6)
+        path = tmp_path / "s.json"
+        save_scenario(path, generate_scenario(params), params)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text)) + "\n"
+
+    def test_writer_matches_json_dump_on_edge_values(self):
+        import io
+        doc = {"empty": [], "nested": [[], [1.5, -0.0], [[1e-300]]],
+               "text": "caf\u00e9 \"q\"\n", "block": {"a": [1, 2]},
+               "none": None, "flag": True, "big": 1e308, "tiny": 5e-324}
+        want, got = io.StringIO(), io.StringIO()
+        json.dump(doc, want)
+        _write_json(got, doc)
+        assert got.getvalue() == want.getvalue()
+
     def test_negative_a2_names_field(self, tmp_path):
         s = generate_scenario(GenerationParams(num_te=3, num_es=3,
                                                num_slots=3, seed=2))
@@ -159,6 +177,19 @@ class TestResultBundle:
         bid_lines = open(paths["bids"]).read().splitlines()
         assert bid_lines[0] == "es_id,slot,lambda_final"
         assert len(bid_lines) == 1 + 3 * 4
+
+    def test_demands_rows_round_trip(self, tmp_path):
+        from mec_bazaar.bidding_games import run_dtoa
+        s = generate_scenario(GenerationParams(num_te=6, num_es=3,
+                                               num_slots=4, seed=3))
+        res = run_dtoa(s)
+        paths = save_result(tmp_path / "out", res, s)
+        lines = open(paths["demands"]).read().splitlines()[1:]
+        for k, line in enumerate(lines):
+            i, t, before, after = line.split(",")
+            assert (i, t) == (str(k // 4), str(k % 4))
+            assert float(before) == s.initial_demand[k // 4, k % 4]
+            assert float(after) == res.demand[k // 4, k % 4]
 
     def test_bundle_deterministic(self, tmp_path):
         from mec_bazaar.bidding_games import run_dtoa
