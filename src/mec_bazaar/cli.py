@@ -118,12 +118,16 @@ _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 def _number(key: str, value) -> float:
-    """A generation parameter's value as a float; booleans and text are
-    refused, naming the key."""
+    """A generation parameter's value as a float; booleans, text and
+    integers too large for a float are refused, naming the key."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"parameter {key!r} must be a number, "
                           f"got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"parameter {key!r} is too large for a float") \
+            from None
 
 
 def _gen_params_from_args(args) -> GenerationParams:

@@ -79,7 +79,10 @@ class SolverConfig:
             elif f.type == "int":
                 ok = isinstance(value, Integral)
             else:
-                ok = isinstance(value, Real) and math.isfinite(value)
+                try:
+                    ok = isinstance(value, Real) and math.isfinite(value)
+                except OverflowError:  # an int too large for a float
+                    ok = False
             if not ok:
                 raise DomainError(f"solver.{f.name} must be "
                                   f"{_FIELD_KINDS[f.type]}, got {value!r}")

@@ -8,7 +8,9 @@ the contract; the mixer is an implementation detail.
 
 Scenario files are single JSON documents with a ``schema_version`` field.
 Floats are serialized with ``repr`` (shortest round-trip form), so
-load(save(s)) reproduces every number bit-exactly.
+load(save(s)) reproduces every number bit-exactly. Both directions handle
+one table at a time: a save turns one row into Python floats at a time,
+and a load turns each table into an array as soon as it is parsed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ScenarioFormatError, SchemaVersionError
+from .errors import (
+    DimensionError,
+    DomainError,
+    ScenarioFormatError,
+    SchemaVersionError,
+)
 from .market_model import Scenario, SolverConfig
 
 __all__ = [
@@ -166,11 +173,11 @@ def _scenario_to_dict(s: Scenario) -> dict:
         "num_slots": s.num_slots,
         "seed": s.seed,
         "cost_coeffs": s.cost_coeffs.tolist(),
-        "utility_w": s.utility_w.tolist(),
-        "utility_alpha": s.utility_alpha.tolist(),
-        "base_demand": s.base_demand.tolist(),
+        "utility_w": s.utility_w,
+        "utility_alpha": s.utility_alpha,
+        "base_demand": s.base_demand,
         "shiftable_total": s.shiftable_total.tolist(),
-        "initial_demand": s.initial_demand.tolist(),
+        "initial_demand": s.initial_demand,
         "solver": _solver_to_dict(s.solver),
     }
 
@@ -182,13 +189,17 @@ def _write_json(fh, doc: dict) -> None:
     ``json.dumps`` of the whole document runs the C encoder but holds all
     of its text in memory. Here each top-level value goes through
     ``json.dumps`` on its own, lists one element (a table row) at a time.
+    A 2-D array is written as the list of its rows, each row becoming
+    Python floats only while it is written.
     """
     fh.write("{")
     for n, (key, value) in enumerate(doc.items()):
         fh.write(f"{', ' if n else ''}{json.dumps(key)}: ")
-        if isinstance(value, list):
+        if isinstance(value, (list, np.ndarray)):
             fh.write("[")
             for k, item in enumerate(value):
+                if isinstance(item, np.ndarray):
+                    item = item.tolist()
                 fh.write(f"{', ' if k else ''}{json.dumps(item)}")
             fh.write("]")
         else:
@@ -210,6 +221,55 @@ def save_scenario(path: str, scenario: Scenario,
         fh.write("\n")
 
 
+_TABLES = ("cost_coeffs", "utility_alpha", "utility_w", "base_demand",
+           "shiftable_total", "initial_demand")
+_WHITESPACE = json.decoder.WHITESPACE.match
+
+
+class _LastKey(dict):
+    """The key memo of ``json.decoder.JSONObject``, which looks up each
+    key just before it scans the key's value; this one remembers it."""
+
+    last = None
+
+    def setdefault(self, key, default=None):
+        self.last = key
+        return key
+
+
+def _loads(text: str):
+    """``json.loads(text)``, except that each table of a top-level object
+    becomes a float array as soon as it is scanned, so at most one table
+    is alive as Python floats.
+
+    json's own object parser reads the top level and its C scanner every
+    value, so errors with their line and column, NaN and Infinity, and
+    last-wins duplicate keys are json's. A table that does not convert
+    stays a list, for validation to report.
+    """
+    start = _WHITESPACE(text, 0).end()
+    if text[start:start + 1] != "{":
+        return json.loads(text)
+    memo = _LastKey()
+    scan = json.JSONDecoder().scan_once
+
+    def scan_value(s, idx):
+        value, end = scan(s, idx)
+        if memo.last in _TABLES and isinstance(value, list):
+            try:
+                value = np.asarray(value, dtype=float)
+            except (ValueError, TypeError, OverflowError):
+                pass
+        return value, end
+
+    doc, end = json.decoder.JSONObject((text, start + 1), True, scan_value,
+                                       None, None, memo)
+    end = _WHITESPACE(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return doc
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file.
 
@@ -219,7 +279,7 @@ def load_scenario(path: str) -> Scenario:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = _loads(fh.read())
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(
             f"{path}: not valid JSON (line {exc.lineno}, col {exc.colno})")
@@ -256,19 +316,18 @@ def load_scenario(path: str) -> Scenario:
             solver=solver,
             seed=int(doc["seed"]),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ScenarioFormatError(f"{path}: malformed array field ({exc})")
     try:
         scenario.validate()
-    except DomainError as exc:
+    except (DimensionError, DomainError) as exc:
         raise ScenarioFormatError(f"{path}: {exc}", field=_guess_field(exc))
     return scenario
 
 
 def _guess_field(exc: Exception) -> str | None:
     text = str(exc)
-    for name in ("cost_coeffs", "utility_alpha", "utility_w", "base_demand",
-                 "shiftable_total", "initial_demand", "solver"):
+    for name in _TABLES + ("solver",):
         if name in text:
             return name
     return None

@@ -244,7 +244,7 @@ def _time_per_iteration(scenario, repeats=5):
 
 
 def test_criterion_10_scaling_shape():
-    # warm the jit path so compilation is not measured
+    # warm numpy's caches and lazy imports so the first timing is not skewed
     run_dtoa(generate_scenario(GenerationParams(num_te=50, seed=1)))
     t500, it500 = _time_per_iteration(generate_scenario(
         GenerationParams(num_te=500, seed=1)))

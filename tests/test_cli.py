@@ -16,11 +16,20 @@ from mec_bazaar.scenario_io import GenerationParams, generate_scenario, save_sce
 from mec_bazaar.market_model import SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+HUGE = 10 ** 400  # an integer too large for a float
 
 
 def cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "mec_bazaar.cli", *args],
                           capture_output=True, text=True, cwd=cwd)
+
+
+def error_line(out) -> str:
+    """The single ``ERROR ...`` line a failing command writes."""
+    lines = [line for line in out.stderr.splitlines() if line.strip()]
+    assert len(lines) == 1, out.stderr
+    assert lines[0].startswith("ERROR "), out.stderr
+    return lines[0]
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +107,15 @@ class TestGen:
                   "-o", str(tmp_path / "x.json"))
         assert out.returncode == 2
         assert param.split("=")[0] in out.stderr
+        assert not (tmp_path / "x.json").exists()
+
+
+    @pytest.mark.parametrize("key", ["a1", "solver.epsilon"])
+    def test_huge_integer_param_rejected(self, tmp_path, key):
+        out = cli("gen", "--seed", "2", "--tes", "5", "--param",
+                  f"{key}={HUGE}", "-o", str(tmp_path / "x.json"))
+        assert out.returncode == 2
+        assert key in error_line(out)
         assert not (tmp_path / "x.json").exists()
 
 
@@ -232,6 +250,13 @@ class TestRun:
         assert "Traceback" not in out.stderr
         assert not (tmp_path / "o" / "result.json").exists()
 
+    def test_huge_integer_override_rejected(self, small_scenario, tmp_path):
+        out = cli("run", "--scenario", str(small_scenario), "--out-dir",
+                  str(tmp_path / "o"), "--param", f"solver.epsilon={HUGE}")
+        assert out.returncode == 2
+        assert "solver.epsilon" in error_line(out)
+        assert not (tmp_path / "o" / "result.json").exists()
+
     @pytest.mark.parametrize("field,value", [("epsilon", "abc"),
                                              ("relative_stopping", "yes")])
     def test_mistyped_solver_block(self, small_scenario, tmp_path, field,
@@ -253,6 +278,54 @@ class TestRun:
         lines = [line for line in out.stderr.splitlines() if line.strip()]
         assert len(lines) == 1, out.stderr
         assert lines[0].startswith("ERROR ") and "missing.json" in lines[0]
+
+
+def load_with(command, path, tmp_path):
+    """``run`` or ``oracle`` on the scenario at ``path``."""
+    if command == "run":
+        return cli("run", "--scenario", str(path), "--out-dir",
+                   str(tmp_path / "o"))
+    return cli("oracle", "--scenario", str(path), "--slot", "0",
+               "--samples", "5", "-o", str(tmp_path / "r.json"))
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+class TestMalformedScenario:
+    """A scenario that fails to load exits 1 with one line naming the file."""
+
+    def write(self, small_scenario, tmp_path, edit):
+        doc = json.loads(small_scenario.read_text())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_shape_not_matching_counts(self, small_scenario, tmp_path,
+                                       command):
+        path = self.write(small_scenario, tmp_path,
+                          lambda doc: doc.update(num_te=doc["num_te"] - 1))
+        out = load_with(command, path, tmp_path)
+        assert out.returncode == 1
+        line = error_line(out)
+        assert str(path) in line
+        assert "utility_w has shape (40, 6), expected (39, 6)" in line
+
+    def test_huge_integer_in_table(self, small_scenario, tmp_path, command):
+        def edit(doc):
+            doc["utility_w"][0][0] = HUGE
+        out = load_with(command, self.write(small_scenario, tmp_path, edit),
+                        tmp_path)
+        assert out.returncode == 1
+        assert "malformed array field" in error_line(out)
+
+    def test_huge_integer_in_solver_block(self, small_scenario, tmp_path,
+                                          command):
+        def edit(doc):
+            doc["solver"]["epsilon"] = HUGE
+        out = load_with(command, self.write(small_scenario, tmp_path, edit),
+                        tmp_path)
+        assert out.returncode == 1
+        assert "solver.epsilon" in error_line(out)
 
 
 class TestOracle:

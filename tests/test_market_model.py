@@ -294,3 +294,7 @@ class TestScenarioValidation:
         with pytest.raises(DomainError):
             SolverConfig(eta1_decay=1.5).validate()
         SolverConfig().validate()
+
+    def test_solver_config_refuses_integer_too_large_for_float(self):
+        with pytest.raises(DomainError, match="solver.epsilon"):
+            SolverConfig(epsilon=10 ** 400).validate()

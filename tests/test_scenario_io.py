@@ -1,20 +1,32 @@
 """Unit tests for generation determinism and file round trips."""
 
+import gc
+import io
 import json
+import os
+import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mec_bazaar import scenario_io
 from mec_bazaar.errors import ScenarioFormatError, SchemaVersionError, DomainError
 from mec_bazaar.market_model import SolverConfig
 from mec_bazaar.scenario_io import (
     GenerationParams,
     generate_scenario,
     load_scenario,
+    _loads,
+    _TABLES,
     _write_json,
     save_result,
     save_scenario,
 )
+
+deterministic = settings(derandomize=True, deadline=None, max_examples=300)
 
 
 class TestGeneration:
@@ -104,12 +116,22 @@ class TestScenarioRoundTrip:
         assert text == json.dumps(json.loads(text)) + "\n"
 
     def test_writer_matches_json_dump_on_edge_values(self):
-        import io
         doc = {"empty": [], "nested": [[], [1.5, -0.0], [[1e-300]]],
                "text": "caf\u00e9 \"q\"\n", "block": {"a": [1, 2]},
                "none": None, "flag": True, "big": 1e308, "tiny": 5e-324}
         want, got = io.StringIO(), io.StringIO()
         json.dump(doc, want)
+        _write_json(got, doc)
+        assert got.getvalue() == want.getvalue()
+
+    def test_writer_matches_json_dump_on_arrays(self):
+        table = np.array([[1.5, -0.0, 1e-300], [5e-324, 1e308, 0.1],
+                          [np.nan, np.inf, -np.inf]])
+        doc = {"table": table, "no_rows": np.empty((0, 3)),
+               "empty_rows": np.empty((2, 0)), "list": [1.0, 2]}
+        want, got = io.StringIO(), io.StringIO()
+        json.dump({k: v.tolist() if isinstance(v, np.ndarray) else v
+                   for k, v in doc.items()}, want)
         _write_json(got, doc)
         assert got.getvalue() == want.getvalue()
 
@@ -151,6 +173,229 @@ class TestScenarioRoundTrip:
         path.write_text(json.dumps({"schema_version": 1, "num_es": 3}))
         with pytest.raises(ScenarioFormatError):
             load_scenario(path)
+
+
+# --------------------------------------------------------------------------
+# The scenario reader against json.loads
+# --------------------------------------------------------------------------
+
+_WS = st.sampled_from(["", " ", "\n", "\t", "\r\n  ", "\n\n"])
+_NUMBERS = st.one_of(st.floats(), st.integers(-10**20, 10**20),
+                     st.just(10**400))
+_SCALARS = st.one_of(_NUMBERS, st.booleans(), st.none(), st.text(max_size=3))
+_VALUES = st.one_of(
+    _SCALARS,
+    st.integers(1, 3).flatmap(lambda c: st.lists(
+        st.lists(_NUMBERS, min_size=c, max_size=c), max_size=4)),
+    st.lists(_NUMBERS, max_size=4),
+    st.lists(st.lists(_NUMBERS, max_size=3), max_size=4),
+    st.lists(st.lists(_SCALARS, max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), _SCALARS, max_size=3),
+)
+_KEYS = st.sampled_from(_TABLES + (
+    "schema_version", "num_es", "num_te", "seed", "solver", "", "x",
+    "utility_w ", "caf\u00e9"))
+
+
+def _escaped(key: str) -> str:
+    return '"' + "".join(f"\\u{ord(c):04x}" for c in key) + '"'
+
+
+@st.composite
+def _objects(draw, pairs=st.lists(st.tuples(_KEYS, _VALUES), max_size=8)):
+    """An object's text from (key, value) pairs, duplicates allowed, with
+    random whitespace, escaped keys and pretty-printed values."""
+    parts = [
+        draw(_WS) + (_escaped(key) if draw(st.booleans()) else json.dumps(key))
+        + draw(_WS) + ":" + draw(_WS)
+        + json.dumps(value, indent=draw(st.sampled_from([None, 1])))
+        + draw(_WS)
+        for key, value in draw(pairs)]
+    return draw(_WS) + "{" + (",".join(parts) or draw(_WS)) + "}" + draw(_WS)
+
+
+@st.composite
+def _documents(draw):
+    text = draw(st.one_of(
+        _objects(),
+        st.builds(lambda a, v, b: a + json.dumps(v) + b, _WS, _VALUES, _WS)))
+    if draw(st.booleans()):  # damage it: one character in, or one out
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(list(',:{}[]" x0'))) \
+                + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+def _small_scenario_text(indent=None) -> str:
+    params = GenerationParams(num_te=2, num_es=2, num_slots=2, seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        save_scenario(path, generate_scenario(params), params)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    return text if indent is None else json.dumps(json.loads(text),
+                                                  indent=indent)
+
+
+@st.composite
+def _scenario_texts(draw):
+    """A small valid scenario, possibly with fields replaced, dropped or
+    repeated."""
+    pairs = list(json.loads(_small_scenario_text()).items())
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["replace", "drop", "repeat"]))
+        at = draw(st.integers(0, len(pairs) - 1))
+        if kind == "drop":
+            del pairs[at]
+        else:
+            item = (pairs[at][0], draw(_VALUES))
+            if kind == "replace":
+                pairs[at] = item
+            else:
+                pairs.append(item)
+    return draw(_objects(st.just(pairs)))
+
+
+def _outcome(loads, text):
+    try:
+        return loads(text)
+    except json.JSONDecodeError as exc:
+        return ("JSONDecodeError", exc.msg, exc.lineno, exc.colno)
+
+
+def _converts(value) -> bool:
+    try:
+        np.asarray(value, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        return False
+    return True
+
+
+def assert_reads_like_json(text):
+    """``_loads`` gives json.loads's document, with each convertible table
+    replaced by a bit-equal float array, or json's error at the same line
+    and column."""
+    want, got = _outcome(json.loads, text), _outcome(_loads, text)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert type(got) is type(want)
+    if not isinstance(want, dict):
+        assert json.dumps(got) == json.dumps(want)
+        return
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if key in _TABLES and isinstance(value, list) and _converts(value):
+            expect = np.asarray(value, dtype=float)
+            assert isinstance(got[key], np.ndarray), key
+            assert got[key].dtype == expect.dtype
+            assert got[key].shape == expect.shape
+            assert got[key].tobytes() == expect.tobytes()
+        else:
+            assert type(got[key]) is type(value), key
+            assert json.dumps(got[key]) == json.dumps(value)
+
+
+class TestReader:
+    @deterministic
+    @given(text=_documents())
+    def test_agrees_with_json_loads(self, text):
+        assert_reads_like_json(text)
+
+    @pytest.mark.parametrize("indent", [None, 1])
+    def test_truncated_at_every_byte(self, indent):
+        text = _small_scenario_text(indent)
+        for end in range(len(text) + 1):
+            assert_reads_like_json(text[:end])
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff{}", "", "  ", "{} {}", "{}\n\n", '{"a": 1} x', "[] ",
+        "NaN", '{"utility_w": [[NaN, Infinity, -Infinity, -0.0]]}',
+        '{"utility_w": [[1]], "utility_w": [[2, 3]]}',
+        '{"utility_w": [[1], [2, 3]]}', '{"utility_w": [["1"]]}',
+        '{"base_demand": ' + "1" * 400 + "}",
+        '{"base_demand": [' + "1" * 400 + "]}",
+        '{"cost_coeffs": [], "seed": [1.5]}',
+    ])
+    def test_edge_documents(self, text):
+        assert_reads_like_json(text)
+
+    @deterministic
+    @given(text=_scenario_texts())
+    def test_load_scenario_fails_as_with_json_loads(self, text):
+        """The same exception type and message, or the same scenario, as
+        load_scenario reading the file through json.loads."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with mock.patch.object(scenario_io, "_loads", json.loads):
+                want = _load_outcome(path)
+            got = _load_outcome(path)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert not isinstance(got, tuple), got
+        for name in _TABLES:
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes()
+        assert (got.num_es, got.num_te, got.num_slots, got.seed,
+                got.solver) == (want.num_es, want.num_te, want.num_slots,
+                                want.seed, want.solver)
+
+
+def _load_outcome(path):
+    try:
+        return load_scenario(path)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return (type(exc), str(exc))
+
+
+# --------------------------------------------------------------------------
+# Memory: one table at a time
+# --------------------------------------------------------------------------
+
+def _traced_peak(fn, *args) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _json_load(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class TestMemory:
+    """An N=2000 scenario (about 3.1 MB of text): saving holds no table as
+    Python floats, and loading holds at most one."""
+
+    @pytest.fixture(scope="class")
+    def scenario_file(self, tmp_path_factory):
+        params = GenerationParams(num_te=2000, seed=1)
+        path = tmp_path_factory.mktemp("memory") / "s.json"
+        save_scenario(path, generate_scenario(params), params)
+        return path, params
+
+    def test_save_peak_below_quarter_of_file(self, scenario_file, tmp_path):
+        path, params = scenario_file
+        scenario = load_scenario(path)
+        peak = _traced_peak(save_scenario, tmp_path / "copy.json", scenario,
+                            params)
+        assert (tmp_path / "copy.json").read_bytes() == path.read_bytes()
+        assert peak < os.path.getsize(path) / 4
+
+    def test_load_peak_three_quarters_of_json_load(self, scenario_file):
+        path, _ = scenario_file
+        assert _traced_peak(load_scenario, path) <= \
+            0.75 * _traced_peak(_json_load, path)
 
 
 class TestResultBundle:
