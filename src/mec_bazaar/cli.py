@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import logging
 import math
@@ -201,17 +200,9 @@ def _apply_overrides(scenario: Scenario, overrides: dict) -> tuple[Scenario, dic
     return scenario, applied
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def cmd_run(args) -> int:
     try:
-        scenario = load_scenario(args.scenario)
+        scenario, digest = load_scenario(args.scenario, with_digest=True)
     except ScenarioFormatError as exc:
         return _fail(EXIT_IO, str(exc))
     except OSError as exc:
@@ -249,7 +240,7 @@ def cmd_run(args) -> int:
         manifest = {
             "tool_version": __version__,
             "scenario_path": os.path.abspath(args.scenario),
-            "scenario_sha256": _sha256(args.scenario),
+            "scenario_sha256": digest,
             "seed": scenario.seed,
             "overrides": applied,
             "threads": args.threads,

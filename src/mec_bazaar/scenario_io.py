@@ -11,11 +11,19 @@ Floats are serialized with ``repr`` (shortest round-trip form), so
 load(save(s)) reproduces every number bit-exactly. Both directions handle
 one table at a time: a save turns one row into Python floats at a time,
 and a load turns each table into an array as soon as it is parsed.
+
+Beside each scenario file, a save also writes a binary companion
+(``<scenario>.cache``): the six tables as float64 ``.npy`` records and
+the other fields, keyed by the sha256 of the JSON bytes it was written
+with. A load uses the companion only while that digest matches the
+file; otherwise it parses the JSON, which stays the only source of
+truth.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -207,9 +215,10 @@ def _write_json(fh, doc: dict) -> None:
     fh.write("}")
 
 
-def save_scenario(path: str, scenario: Scenario,
+def save_scenario(path, scenario: Scenario,
                   generation: GenerationParams | None = None) -> None:
-    """Write a scenario file; optionally record its generation recipe."""
+    """Write a scenario file and its companion; optionally record the
+    generation recipe."""
     scenario.validate()
     doc = _scenario_to_dict(scenario)
     if generation is not None:
@@ -219,6 +228,8 @@ def save_scenario(path: str, scenario: Scenario,
     with open(path, "w", encoding="utf-8") as fh:
         _write_json(fh, doc)
         fh.write("\n")
+    if os.path.isfile(path):  # not a pipe or a device such as /dev/stdout
+        _write_companion(path, doc, _sha256(path))
 
 
 _TABLES = ("cost_coeffs", "utility_alpha", "utility_w", "base_demand",
@@ -270,19 +281,89 @@ def _loads(text: str):
     return doc
 
 
-def load_scenario(path: str) -> Scenario:
+def _sha256(path) -> str:
+    """Hex sha256 of the file at ``path``, read in blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _companion_path(path) -> str:
+    return os.fspath(path) + ".cache"
+
+
+def _write_companion(path, doc: dict, digest: str) -> None:
+    """Write the companion of the scenario file ``path``, whose bytes
+    have sha256 ``digest``: one uint8 record holding the JSON of the
+    digest and the non-table fields, then each table as a float64
+    record. ``np.save`` writes no timestamps, so the bytes are a pure
+    function of the scenario. The file is renamed into place whole.
+    """
+    target = _companion_path(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    header = {"sha256": digest,
+              "fields": {k: v for k, v in doc.items() if k not in _TABLES}}
+    try:
+        with open(tmp, "wb") as fh:
+            np.save(fh, np.frombuffer(json.dumps(header).encode(), np.uint8))
+            for name in _TABLES:
+                np.save(fh, np.asarray(doc[name], dtype=np.float64))
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _read_companion(path, digest: str) -> dict | None:
+    """The document stored in the companion of ``path``, or None unless
+    the companion is readable, records ``digest`` and holds every table
+    as a float64 array."""
+    try:
+        with open(_companion_path(path), "rb") as fh:
+            header = json.loads(
+                np.lib.format.read_array(fh, allow_pickle=False).tobytes())
+            if not (isinstance(header, dict)
+                    and header.get("sha256") == digest
+                    and isinstance(header.get("fields"), dict)):
+                return None
+            doc = header["fields"]
+            for name in _TABLES:
+                table = np.lib.format.read_array(fh, allow_pickle=False)
+                if table.dtype != np.float64:
+                    return None
+                doc[name] = table
+    except (OSError, ValueError, RecursionError):
+        return None
+    return doc
+
+
+def load_scenario(path, *, with_digest: bool = False):
     """Parse and validate a scenario file.
+
+    The tables come from the file's companion when it was written for
+    these exact bytes, and from the JSON otherwise; both go through the
+    same validation. With ``with_digest`` the result is the pair
+    (scenario, sha256 of the file's bytes).
 
     Malformed JSON, missing fields, wrong shapes and violated invariants
     all raise :class:`ScenarioFormatError` naming the offending field;
     an unsupported ``schema_version`` raises :class:`SchemaVersionError`.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = _loads(fh.read())
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(
-            f"{path}: not valid JSON (line {exc.lineno}, col {exc.colno})")
+    digest = _sha256(path)
+    doc = _read_companion(path, digest)
+    if doc is None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = _loads(fh.read())
+        except json.JSONDecodeError as exc:
+            raise ScenarioFormatError(
+                f"{path}: not valid JSON (line {exc.lineno}, "
+                f"col {exc.colno})")
+        except RecursionError:
+            raise ScenarioFormatError(
+                f"{path}: not valid JSON (nested too deeply)") from None
     if not isinstance(doc, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")
     version = doc.get("schema_version")
@@ -302,11 +383,15 @@ def load_scenario(path: str) -> Scenario:
     except TypeError as exc:
         raise ScenarioFormatError(f"{path}: bad solver block ({exc})",
                                   field="solver")
+    counts = {}
+    for name in ("num_es", "num_te", "num_slots", "seed"):
+        try:
+            counts[name] = int(doc[name])
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ScenarioFormatError(
+                f"{path}: {name} is not an integer ({exc})", field=name)
     try:
         scenario = Scenario(
-            num_es=int(doc["num_es"]),
-            num_te=int(doc["num_te"]),
-            num_slots=int(doc["num_slots"]),
             cost_coeffs=np.asarray(doc["cost_coeffs"], dtype=float),
             utility_w=np.asarray(doc["utility_w"], dtype=float),
             utility_alpha=np.asarray(doc["utility_alpha"], dtype=float),
@@ -314,7 +399,7 @@ def load_scenario(path: str) -> Scenario:
             shiftable_total=np.asarray(doc["shiftable_total"], dtype=float),
             initial_demand=np.asarray(doc["initial_demand"], dtype=float),
             solver=solver,
-            seed=int(doc["seed"]),
+            **counts,
         )
     except (ValueError, TypeError, OverflowError) as exc:
         raise ScenarioFormatError(f"{path}: malformed array field ({exc})")
@@ -322,7 +407,7 @@ def load_scenario(path: str) -> Scenario:
         scenario.validate()
     except (DimensionError, DomainError) as exc:
         raise ScenarioFormatError(f"{path}: {exc}", field=_guess_field(exc))
-    return scenario
+    return (scenario, digest) if with_digest else scenario
 
 
 def _guess_field(exc: Exception) -> str | None:

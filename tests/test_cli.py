@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -58,6 +59,21 @@ class TestGen:
         assert cli("gen", "--seed", "7", "--tes", "10", "--ess", "3",
                    "--slots", "4", "-o", str(b)).returncode == 0
         assert a.read_bytes() == b.read_bytes()
+        assert Path(f"{a}.cache").read_bytes() == \
+            Path(f"{b}.cache").read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                        reason="needs /dev/stdout")
+    def test_output_to_stdout(self):
+        # a scenario written to a pipe gets no companion and is not
+        # read back
+        out = subprocess.run(
+            [sys.executable, "-m", "mec_bazaar.cli", "gen", "--tes", "2",
+             "--ess", "2", "--slots", "2", "-o", "/dev/stdout"],
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        text, path = out.stdout.splitlines()
+        assert json.loads(text)["num_te"] == 2 and path == "/dev/stdout"
 
     def test_zero_tes_rejected(self, tmp_path):
         out = cli("gen", "--seed", "1", "--tes", "0", "-o",
@@ -326,6 +342,63 @@ class TestMalformedScenario:
                         tmp_path)
         assert out.returncode == 1
         assert "solver.epsilon" in error_line(out)
+
+
+    def test_deeply_nested(self, tmp_path, command):
+        path = tmp_path / "deep.json"
+        depth = 100000
+        path.write_text('{"utility_w": ' + "[" * depth + "]" * depth + "}")
+        out = load_with(command, path, tmp_path)
+        assert out.returncode == 1
+        line = error_line(out)
+        assert str(path) in line and "not valid JSON" in line
+
+    @pytest.mark.parametrize("name,value", [("num_es", [10]),
+                                            ("num_te", float("inf")),
+                                            ("seed", "x")])
+    def test_bad_count_or_seed_named(self, small_scenario, tmp_path,
+                                     command, name, value):
+        out = load_with(command, self.write(
+            small_scenario, tmp_path, lambda doc: doc.update({name: value})),
+            tmp_path)
+        assert out.returncode == 1
+        line = error_line(out)
+        assert f"{name} is not an integer" in line
+
+
+class TestCompanion:
+    """``run`` and ``oracle`` write the same bytes whether the scenario's
+    binary companion is there or not."""
+
+    def outputs(self, scenario, tmp_path, tag):
+        out_dir = tmp_path / f"out-{tag}"
+        run = cli("run", "--scenario", str(scenario), "--out-dir",
+                  str(out_dir))
+        report = tmp_path / f"report-{tag}.json"
+        oracle = cli("oracle", "--scenario", str(scenario), "--slot", "1",
+                     "--samples", "5", "--result", str(out_dir), "-o",
+                     str(report))
+        files = {name: (out_dir / name).read_bytes() for name in
+                 ("result.json", "trace.csv", "demands.csv", "bids.csv",
+                  "fig_demand.csv", "fig_payout.csv", "fig_payoff.csv",
+                  "fig_profit.csv", "fig_par.csv")}
+        files["oracle"] = report.read_bytes()
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        return run.returncode, oracle.returncode, files, \
+            manifest["scenario_sha256"]
+
+    def test_same_bytes_without_companion(self, tmp_path):
+        path = tmp_path / "s.json"
+        assert cli("gen", "--seed", "4", "--tes", "30", "--ess", "4",
+                   "--slots", "5", "-o", str(path)).returncode == 0
+        companion = Path(str(path) + ".cache")
+        assert companion.exists()
+        warm = self.outputs(path, tmp_path, "warm")
+        companion.unlink()
+        cold = self.outputs(path, tmp_path, "cold")
+        assert warm == cold
+        assert warm[3] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert warm[0] == 0
 
 
 class TestOracle:

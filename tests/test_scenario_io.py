@@ -1,6 +1,8 @@
 """Unit tests for generation determinism and file round trips."""
 
+import dataclasses
 import gc
+import hashlib
 import io
 import json
 import os
@@ -166,6 +168,29 @@ class TestScenarioRoundTrip:
         doc["schema_version"] = 999
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaVersionError):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("name,value", [
+        ("num_es", [10]), ("num_te", float("inf")),
+        ("num_slots", float("nan")), ("seed", {"x": 1})])
+    def test_bad_count_or_seed_names_field(self, tmp_path, name, value):
+        path = tmp_path / "s.json"
+        save_scenario(path, generate_scenario(GenerationParams(
+            num_te=3, num_es=3, num_slots=3, seed=2)))
+        doc = json.loads(path.read_text())
+        doc[name] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(path)
+        assert err.value.field == name
+        assert f"{name} is not an integer" in str(err.value)
+
+    def test_deeply_nested_is_invalid_json(self, tmp_path):
+        path = tmp_path / "s.json"
+        depth = 100000
+        path.write_text('{"utility_w": ' + "[" * depth + "]" * depth + "}")
+        with pytest.raises(ScenarioFormatError,
+                           match="not valid JSON .nested too deeply"):
             load_scenario(path)
 
     def test_missing_field(self, tmp_path):
@@ -355,6 +380,182 @@ def _load_outcome(path):
 
 
 # --------------------------------------------------------------------------
+# The binary companion
+# --------------------------------------------------------------------------
+
+def companion(path) -> str:
+    return os.fspath(path) + ".cache"
+
+
+def _read_records(path) -> list:
+    """Every ``.npy`` record of the file at ``path``, in order."""
+    records = []
+    with open(path, "rb") as fh:
+        while fh.peek(1):
+            records.append(np.lib.format.read_array(fh, allow_pickle=True))
+    return records
+
+
+def _write_records(path, records) -> None:
+    with open(path, "wb") as fh:
+        for record in records:
+            np.save(fh, record, allow_pickle=True)
+
+
+def _assert_same_scenario(got, want):
+    for name in _TABLES:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert getattr(got, name).shape == getattr(want, name).shape
+    assert (got.num_es, got.num_te, got.num_slots, got.seed, got.solver) \
+        == (want.num_es, want.num_te, want.num_slots, want.seed, want.solver)
+
+
+def _cold_outcome(path):
+    """``load_scenario(path)`` with the companion moved aside."""
+    aside = os.fspath(path) + ".aside"
+    os.replace(companion(path), aside)
+    try:
+        return _load_outcome(path)
+    finally:
+        os.replace(aside, companion(path))
+
+
+def _parsed_loads():
+    """A spy on the JSON reader: its calls tell a JSON load from a
+    companion load."""
+    return mock.patch.object(scenario_io, "_loads", side_effect=_loads)
+
+
+class TestCompanion:
+    PARAMS = GenerationParams(num_te=30, num_es=4, num_slots=5, seed=11,
+                              solver=SolverConfig(epsilon=0.25,
+                                                  max_iterations=700))
+
+    @pytest.fixture
+    def scenario_path(self, tmp_path):
+        path = tmp_path / "s.json"
+        save_scenario(path, generate_scenario(self.PARAMS), self.PARAMS)
+        return path
+
+    def test_written_beside_the_scenario(self, scenario_path):
+        records = _read_records(companion(scenario_path))
+        header = json.loads(records[0].tobytes())
+        assert header["sha256"] == hashlib.sha256(
+            scenario_path.read_bytes()).hexdigest()
+        assert [r.dtype for r in records[1:]] == [np.float64] * len(_TABLES)
+
+    def test_warm_load_bit_equal_to_cold_load(self, scenario_path):
+        with _parsed_loads() as spy:
+            warm = load_scenario(scenario_path)
+        assert spy.call_count == 0
+        cold = _cold_outcome(scenario_path)
+        _assert_same_scenario(warm, cold)
+        _assert_same_scenario(warm, generate_scenario(self.PARAMS))
+
+    def test_digest_is_of_the_file(self, scenario_path):
+        want = hashlib.sha256(scenario_path.read_bytes()).hexdigest()
+        _, warm = load_scenario(scenario_path, with_digest=True)
+        os.remove(companion(scenario_path))
+        _, cold = load_scenario(scenario_path, with_digest=True)
+        assert warm == cold == want
+
+    def test_one_byte_edit_reads_the_json(self, scenario_path):
+        """Every one-byte edit gives the JSON's scenario or its error,
+        exactly as with no companion beside the file."""
+        text = scenario_path.read_bytes()
+        rng = np.random.default_rng(5)
+        for at in rng.choice(len(text), size=40, replace=False):
+            for byte in (b"7", b"[", b" "):
+                if text[at:at + 1] == byte:
+                    continue
+                scenario_path.write_bytes(text[:at] + byte + text[at + 1:])
+                got, want = _load_outcome(scenario_path), \
+                    _cold_outcome(scenario_path)
+                if isinstance(want, tuple):
+                    assert got == want
+                else:
+                    _assert_same_scenario(got, want)
+
+    def test_edited_value_is_the_jsons(self, scenario_path):
+        doc = json.loads(scenario_path.read_text())
+        doc["utility_w"][2][3] = 0.875
+        doc["seed"] = 12
+        scenario_path.write_text(json.dumps(doc) + "\n")
+        loaded = load_scenario(scenario_path)
+        assert loaded.utility_w[2, 3] == 0.875
+        assert loaded.seed == 12
+
+    @pytest.mark.parametrize("damage", [
+        "empty", "truncated header", "truncated table", "last byte cut",
+        "garbage", "garbage after magic", "member missing",
+        "object table", "int table", "big-endian table", "header not json",
+        "other digest", "other scenario"])
+    def test_bad_companion_falls_back_to_json(self, scenario_path, tmp_path,
+                                              damage):
+        path = companion(scenario_path)
+        blob = open(path, "rb").read()
+        records = _read_records(path)
+        rng = np.random.default_rng(3)
+        if damage == "empty":
+            blob = b""
+        elif damage == "truncated header":
+            blob = blob[:40]
+        elif damage == "truncated table":
+            blob = blob[:len(blob) // 2]
+        elif damage == "last byte cut":
+            blob = blob[:-1]
+        elif damage == "garbage":
+            blob = rng.bytes(len(blob))
+        elif damage == "garbage after magic":
+            blob = blob[:8] + rng.bytes(len(blob) - 8)
+        if damage == "member missing":
+            _write_records(path, records[:-1])
+        elif damage in ("object table", "int table", "big-endian table"):
+            dtype = {"object table": object, "int table": np.int64,
+                     "big-endian table": ">f8"}[damage]
+            records[3] = records[3].astype(dtype)
+            _write_records(path, records)
+        elif damage == "header not json":
+            records[0] = np.frombuffer(b"{not json", np.uint8)
+            _write_records(path, records)
+        elif damage == "other digest":
+            header = json.loads(records[0].tobytes())
+            header["sha256"] = hashlib.sha256(b"other").hexdigest()
+            records[0] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+            _write_records(path, records)
+        elif damage == "other scenario":
+            params = dataclasses.replace(self.PARAMS, seed=12)
+            other = tmp_path / "other.json"
+            save_scenario(other, generate_scenario(params), params)
+            os.replace(companion(other), path)
+        else:
+            with open(path, "wb") as fh:
+                fh.write(blob)
+        with _parsed_loads() as spy:
+            got = load_scenario(scenario_path)
+        assert spy.call_count == 1
+        _assert_same_scenario(got, generate_scenario(self.PARAMS))
+
+    def test_saves_write_byte_equal_companions(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b" / "a.json"
+        b.parent.mkdir()
+        save_scenario(a, generate_scenario(self.PARAMS), self.PARAMS)
+        save_scenario(b, generate_scenario(self.PARAMS), self.PARAMS)
+        assert open(companion(a), "rb").read() == \
+            open(companion(b), "rb").read()
+
+    def test_resave_replaces_the_companion(self, scenario_path):
+        params = dataclasses.replace(self.PARAMS, seed=12)
+        save_scenario(scenario_path, generate_scenario(params), params)
+        with _parsed_loads() as spy:
+            got = load_scenario(scenario_path)
+        assert spy.call_count == 0
+        _assert_same_scenario(got, generate_scenario(params))
+        assert sorted(os.listdir(scenario_path.parent)) == \
+            ["s.json", "s.json.cache"]
+
+
+# --------------------------------------------------------------------------
 # Memory: one table at a time
 # --------------------------------------------------------------------------
 
@@ -382,6 +583,7 @@ class TestMemory:
         params = GenerationParams(num_te=2000, seed=1)
         path = tmp_path_factory.mktemp("memory") / "s.json"
         save_scenario(path, generate_scenario(params), params)
+        os.remove(companion(path))  # measure the JSON reader
         return path, params
 
     def test_save_peak_below_quarter_of_file(self, scenario_file, tmp_path):
@@ -396,6 +598,14 @@ class TestMemory:
         path, _ = scenario_file
         assert _traced_peak(load_scenario, path) <= \
             0.75 * _traced_peak(_json_load, path)
+
+    def test_companion_load_peak_quarter_of_json_load(self, scenario_file,
+                                                      tmp_path):
+        path, params = scenario_file
+        warm = tmp_path / "warm.json"
+        save_scenario(warm, load_scenario(path), params)
+        assert _traced_peak(load_scenario, warm) <= \
+            0.25 * _traced_peak(_json_load, warm)
 
 
 class TestResultBundle:
