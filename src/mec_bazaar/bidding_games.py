@@ -146,10 +146,13 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
                   dtype=float)
 
     eta1, eta2 = cfg.eta1_init, cfg.eta2_init
-    # One trace row per iteration: price, load, then delta, bid_delta,
-    # eta1 and eta2. The buffer doubles when full.
-    t = scenario.num_slots
-    rec = np.empty((64, 2 * t + 4))
+    rec_iter: list[int] = []
+    rec_price: list[np.ndarray] = []
+    rec_load: list[np.ndarray] = []
+    rec_delta: list[float] = []
+    rec_bid_delta: list[float] = []
+    rec_eta1: list[float] = []
+    rec_eta2: list[float] = []
 
     status = STATUS_ITERATION_CAP
     iterations = 0
@@ -164,12 +167,13 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
         chi_new = _kernels.te_phase(chi, base, w, alpha, load, totals, q,
                                     eta2)
         delta = float(np.linalg.norm(chi_new - chi))
-        if g > len(rec):
-            rec = np.concatenate([rec, np.empty_like(rec)])
-        row = rec[g - 1]
-        row[:t] = price
-        row[t:2 * t] = load
-        row[2 * t:] = delta, bid_delta, eta1, eta2
+        rec_iter.append(g)
+        rec_price.append(price)
+        rec_load.append(load)
+        rec_delta.append(delta)
+        rec_bid_delta.append(bid_delta)
+        rec_eta1.append(eta1)
+        rec_eta2.append(eta2)
         chi = chi_new
         lam = lam_new
         iterations = g
@@ -180,15 +184,14 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
             status = STATUS_CONVERGED
             break
 
-    rec = rec[:iterations]
     trace = IterationTrace(
-        iteration=np.arange(1, iterations + 1),
-        price=rec[:, :t].copy(),
-        load=rec[:, t:2 * t].copy(),
-        delta=rec[:, 2 * t].copy(),
-        bid_delta=rec[:, 2 * t + 1].copy(),
-        eta1=rec[:, 2 * t + 2].copy(),
-        eta2=rec[:, 2 * t + 3].copy(),
+        iteration=np.array(rec_iter, dtype=int),
+        price=np.array(rec_price),
+        load=np.array(rec_load),
+        delta=np.array(rec_delta),
+        bid_delta=np.array(rec_bid_delta),
+        eta1=np.array(rec_eta1),
+        eta2=np.array(rec_eta2),
     )
     state = compute_market_state(chi, base, lam)
     econ = compute_agent_economics(chi, base, lam, scenario.cost_coeffs,

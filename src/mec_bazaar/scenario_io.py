@@ -26,6 +26,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,6 +216,20 @@ def _write_json(fh, doc: dict) -> None:
     fh.write("}")
 
 
+class _HashingWriter:
+    """Text sink that writes UTF-8 to a binary file and hashes exactly
+    the bytes it writes."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.digest = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        data = text.encode("utf-8")
+        self.digest.update(data)
+        self.fh.write(data)
+
+
 def save_scenario(path, scenario: Scenario,
                   generation: GenerationParams | None = None) -> None:
     """Write a scenario file and its companion; optionally record the
@@ -225,11 +240,18 @@ def save_scenario(path, scenario: Scenario,
         gen = dataclasses.asdict(generation)
         gen.pop("solver", None)  # already mirrored in the solver block
         doc["generation"] = gen
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_json(fh, doc)
-        fh.write("\n")
-    if os.path.isfile(path):  # not a pipe or a device such as /dev/stdout
-        _write_companion(path, doc, _sha256(path))
+    with open(path, "wb") as fh:
+        out = _HashingWriter(fh)
+        _write_json(out, doc)
+        out.write("\n")
+    # The companion is only a cache: skip it beside anything but a regular
+    # file (a pipe, or a device link such as /dev/stdout), and when it
+    # cannot be written.
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            _write_companion(path, doc, out.digest.hexdigest())
+    except OSError:
+        pass
 
 
 _TABLES = ("cost_coeffs", "utility_alpha", "utility_w", "base_demand",
@@ -316,14 +338,16 @@ def _write_companion(path, doc: dict, digest: str) -> None:
             os.remove(tmp)
 
 
-def _read_companion(path, digest: str) -> dict | None:
-    """The document stored in the companion of ``path``, or None unless
-    the companion is readable, records ``digest`` and holds every table
-    as a float64 array."""
+def _read_companion(path) -> tuple[dict, str] | None:
+    """The document stored in the companion of ``path`` and the sha256 of
+    ``path``, or None unless the companion is readable, records that
+    digest and holds every table as a float64 array. The scenario file
+    is hashed only once its companion has opened."""
     try:
         with open(_companion_path(path), "rb") as fh:
             header = json.loads(
                 np.lib.format.read_array(fh, allow_pickle=False).tobytes())
+            digest = _sha256(path)
             if not (isinstance(header, dict)
                     and header.get("sha256") == digest
                     and isinstance(header.get("fields"), dict)):
@@ -336,7 +360,7 @@ def _read_companion(path, digest: str) -> dict | None:
                 doc[name] = table
     except (OSError, ValueError, RecursionError):
         return None
-    return doc
+    return doc, digest
 
 
 def load_scenario(path, *, with_digest: bool = False):
@@ -351,9 +375,11 @@ def load_scenario(path, *, with_digest: bool = False):
     all raise :class:`ScenarioFormatError` naming the offending field;
     an unsupported ``schema_version`` raises :class:`SchemaVersionError`.
     """
-    digest = _sha256(path)
-    doc = _read_companion(path, digest)
-    if doc is None:
+    found = _read_companion(path)
+    if found is not None:
+        doc, digest = found
+    else:
+        digest = None
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = _loads(fh.read())
@@ -407,7 +433,9 @@ def load_scenario(path, *, with_digest: bool = False):
         scenario.validate()
     except (DimensionError, DomainError) as exc:
         raise ScenarioFormatError(f"{path}: {exc}", field=_guess_field(exc))
-    return (scenario, digest) if with_digest else scenario
+    if not with_digest:
+        return scenario
+    return scenario, digest if digest is not None else _sha256(path)
 
 
 def _guess_field(exc: Exception) -> str | None:

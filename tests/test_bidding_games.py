@@ -366,41 +366,6 @@ class TestRunDtoa:
         assert res.iterations_used == iterations
         np.testing.assert_array_equal(res.bids, bids)
 
-    def test_trace_records_every_iteration(self, monkeypatch):
-        """The trace holds, per iteration, the price and load the
-        customers reacted to, both step norms and both step sizes; a run
-        of 200 iterations outgrows the trace buffer twice."""
-        from mec_bazaar import _kernels, bidding_games
-        s = generate_scenario(GenerationParams(
-            num_te=20, num_es=3, num_slots=4, seed=16))
-        s.solver = SolverConfig(epsilon=1e-300, max_iterations=200)
-        seen = []
-        es_phase_, te_phase_ = _kernels.es_phase, _kernels.te_phase
-
-        def es_spy(lam, load, a2, a1, eta1, delta):
-            out = es_phase_(lam, load, a2, a1, eta1, delta)
-            seen.append([out[2], load, np.linalg.norm(out[0] - lam), eta1])
-            return out
-
-        def te_spy(chi, base, w, alpha, load, totals, q, eta2):
-            out = te_phase_(chi, base, w, alpha, load, totals, q, eta2)
-            seen[-1][2:2] = [np.linalg.norm(out - chi)]
-            seen[-1].append(eta2)
-            return out
-
-        monkeypatch.setattr(bidding_games._kernels, "es_phase", es_spy)
-        monkeypatch.setattr(bidding_games._kernels, "te_phase", te_spy)
-        res = run_dtoa(s)
-        trace = res.trace
-        assert res.iterations_used == len(seen) == 200
-        np.testing.assert_array_equal(trace.iteration, np.arange(1, 201))
-        for name, column in zip(
-                ("price", "load", "delta", "bid_delta", "eta1", "eta2"),
-                zip(*seen)):
-            got = getattr(trace, name)
-            assert got.dtype == np.float64 and got.flags.c_contiguous
-            assert got.tobytes() == np.array(column).tobytes(), name
-
     def test_iteration_cap_status(self):
         s = generate_scenario(GenerationParams(seed=1, num_te=200))
         s.solver = SolverConfig(max_iterations=3)

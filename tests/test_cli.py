@@ -64,16 +64,23 @@ class TestGen:
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"),
                         reason="needs /dev/stdout")
-    def test_output_to_stdout(self):
-        # a scenario written to a pipe gets no companion and is not
-        # read back
-        out = subprocess.run(
-            [sys.executable, "-m", "mec_bazaar.cli", "gen", "--tes", "2",
-             "--ess", "2", "--slots", "2", "-o", "/dev/stdout"],
-            capture_output=True, text=True, timeout=120)
+    @pytest.mark.parametrize("sink", ["pipe", "file"])
+    def test_output_to_stdout(self, tmp_path, sink):
+        # /dev/stdout gets no companion, whether stdout is a pipe or a
+        # regular file
+        before = set(os.listdir("/dev"))
+        with open(tmp_path / "out", "w") as fh:
+            out = subprocess.run(
+                [sys.executable, "-m", "mec_bazaar.cli", "gen", "--tes", "2",
+                 "--ess", "2", "--slots", "2", "-o", "/dev/stdout"],
+                stdout=subprocess.PIPE if sink == "pipe" else fh,
+                stderr=subprocess.PIPE, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        text, path = out.stdout.splitlines()
-        assert json.loads(text)["num_te"] == 2 and path == "/dev/stdout"
+        if sink == "pipe":
+            text, path = out.stdout.splitlines()
+            assert json.loads(text)["num_te"] == 2 and path == "/dev/stdout"
+        assert set(os.listdir("/dev")) == before
+        assert os.listdir(tmp_path) == ["out"]
 
     def test_zero_tes_rejected(self, tmp_path):
         out = cli("gen", "--seed", "1", "--tes", "0", "-o",

@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import shutil
+import stat
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -459,6 +461,17 @@ class TestCompanion:
         _, cold = load_scenario(scenario_path, with_digest=True)
         assert warm == cold == want
 
+    def test_without_companion_the_file_is_read_once(self, scenario_path):
+        """With no companion, a load hashes the file only when asked for
+        its digest."""
+        os.remove(companion(scenario_path))
+        with mock.patch.object(scenario_io, "_sha256",
+                               side_effect=scenario_io._sha256) as spy:
+            load_scenario(scenario_path)
+            assert spy.call_count == 0
+            load_scenario(scenario_path, with_digest=True)
+            assert spy.call_count == 1
+
     def test_one_byte_edit_reads_the_json(self, scenario_path):
         """Every one-byte edit gives the JSON's scenario or its error,
         exactly as with no companion beside the file."""
@@ -535,6 +548,45 @@ class TestCompanion:
             got = load_scenario(scenario_path)
         assert spy.call_count == 1
         _assert_same_scenario(got, generate_scenario(self.PARAMS))
+
+    def test_keyed_to_the_bytes_written(self, scenario_path, tmp_path):
+        """A save that another save overwrites before its companion is
+        written leaves a companion that does not match the file, so the
+        load reads the JSON on disk."""
+        params = dataclasses.replace(self.PARAMS, seed=12)
+        other = tmp_path / "other.json"
+        save_scenario(other, generate_scenario(params), params)
+        is_regular = stat.S_ISREG
+
+        def overwritten_first(mode):
+            # the save asks whether its path is a regular file once the
+            # JSON is closed and before the companion is written
+            shutil.copyfile(other, scenario_path)
+            return is_regular(mode)
+
+        with mock.patch("stat.S_ISREG", overwritten_first):
+            save_scenario(scenario_path, generate_scenario(self.PARAMS),
+                          self.PARAMS)
+        with _parsed_loads() as spy:
+            got = load_scenario(scenario_path)
+        assert spy.call_count == 1
+        _assert_same_scenario(got, generate_scenario(params))
+
+    @pytest.mark.parametrize("obstacle", ["directory", "long name"])
+    def test_companion_that_cannot_be_written_is_skipped(self, tmp_path,
+                                                         obstacle):
+        if obstacle == "directory":
+            path = tmp_path / "s.json"
+            os.mkdir(companion(path))
+        else:  # the scenario's name fits, the companion's does not
+            path = tmp_path / ("s" * (os.pathconf(tmp_path, "PC_NAME_MAX")
+                                      - len(".json")) + ".json")
+        save_scenario(path, generate_scenario(self.PARAMS), self.PARAMS)
+        left = {path.name, os.path.basename(companion(path))} \
+            if obstacle == "directory" else {path.name}
+        assert set(os.listdir(tmp_path)) == left
+        _assert_same_scenario(load_scenario(path),
+                              generate_scenario(self.PARAMS))
 
     def test_saves_write_byte_equal_companions(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b" / "a.json"
