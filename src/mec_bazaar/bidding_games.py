@@ -7,9 +7,13 @@ that refreshed price (Jacobi style: all customers move from the same
 snapshot). Step sizes decay geometrically once per outer iteration and
 the loop stops when both games have settled: consecutive demand
 matrices and consecutive bid matrices are each closer than epsilon in
-Frobenius norm. The bid half is the rule ``supplier_fixed_point``
-applies to the supplier game alone, so a converged run and the
-fixed-load baseline settle their bids by the same criterion.
+Frobenius norm.
+
+``run_dtoa`` and ``supplier_fixed_point`` (the supplier game alone at a
+fixed load) take the same supplier step, ``_supplier_step``, with the
+same degenerate-market checks, and stop their bids by the same
+criterion, so a converged run and the fixed-load baseline compare
+fairly.
 
 Each phase is one call to a vectorized kernel in ``_kernels``, which
 updates every supplier (or every customer) at once; this module holds the
@@ -49,13 +53,12 @@ STATUS_ITERATION_CAP = "iteration-cap-reached"
 class IterationTrace:
     """Per-iteration convergence record of one solver run.
 
-    ``delta`` is the Frobenius distance between consecutive demand
-    matrices and ``bid_delta`` the one between consecutive bid matrices;
-    ``price`` and ``load`` are the per-slot vectors the customers reacted
-    to in that iteration.
+    Row ``k`` records iteration ``k + 1``. ``delta`` is the Frobenius
+    distance between consecutive demand matrices and ``bid_delta`` the
+    one between consecutive bid matrices; ``price`` and ``load`` are the
+    per-slot vectors the customers reacted to in that iteration.
     """
 
-    iteration: np.ndarray                  # (G,)
     price: np.ndarray                      # (G, T)
     load: np.ndarray                       # (G, T)
     delta: np.ndarray                      # (G,)
@@ -89,20 +92,26 @@ def project_simplex(v: np.ndarray, total) -> np.ndarray:
 # Orchestration
 # --------------------------------------------------------------------------
 
-def _degenerate(totals: np.ndarray, slot: int,
-                iteration: int) -> DegenerateMarketError:
-    """The error for a bid step whose totals left (0, inf) at ``slot``."""
-    what = "collapsed to zero" if np.isfinite(totals[slot]) else "overflowed"
-    return DegenerateMarketError(
-        f"bids {what} at slot {slot}, iteration {iteration}",
-        slot=slot, iteration=iteration)
+def _supplier_step(lam: np.ndarray, load: np.ndarray, a2: np.ndarray,
+                   a1: np.ndarray, eta1: float, cfg: SolverConfig,
+                   iteration: int):
+    """One simultaneous bid step of every supplier at per-slot ``load``.
 
-
-def _bid_step_norm(new: np.ndarray, old: np.ndarray,
-                   iteration: int) -> float:
-    """Frobenius norm of a bid step; a step too large for a finite norm
-    is an overflow of the slot with the largest move."""
-    step = new - old
+    Returns (new_bids, totals, price, step_norm), the last being the
+    Frobenius norm of the step. Raises :class:`DegenerateMarketError`
+    when the bids collapse to zero or overflow at some slot, or when the
+    step is too large for a finite norm (reported at the slot with the
+    largest move).
+    """
+    new, totals, price, bad = _kernels.es_phase(
+        lam, load, a2, a1, eta1, cfg.singularity_delta)
+    if bad >= 0:
+        what = ("collapsed to zero" if np.isfinite(totals[bad])
+                else "overflowed")
+        raise DegenerateMarketError(
+            f"bids {what} at slot {bad}, iteration {iteration}",
+            slot=bad, iteration=iteration)
+    step = new - lam
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(step))
     if not np.isfinite(norm):
@@ -110,7 +119,7 @@ def _bid_step_norm(new: np.ndarray, old: np.ndarray,
         raise DegenerateMarketError(
             f"bid step overflowed at slot {slot}, iteration {iteration}",
             slot=slot, iteration=iteration)
-    return norm
+    return new, totals, price, norm
 
 
 def _threshold(cfg: SolverConfig, current: np.ndarray) -> float:
@@ -146,7 +155,6 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
                   dtype=float)
 
     eta1, eta2 = cfg.eta1_init, cfg.eta2_init
-    rec_iter: list[int] = []
     rec_price: list[np.ndarray] = []
     rec_load: list[np.ndarray] = []
     rec_delta: list[float] = []
@@ -159,15 +167,11 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     base_load = base.sum(axis=0)
     for g in range(1, cfg.max_iterations + 1):
         load = chi.sum(axis=0) + base_load
-        lam_new, totals, price, bad = _kernels.es_phase(
-            lam, load, a2, a1, eta1, cfg.singularity_delta)
-        if bad >= 0:
-            raise _degenerate(totals, bad, g)
-        bid_delta = _bid_step_norm(lam_new, lam, g)
+        lam, totals, price, bid_delta = _supplier_step(
+            lam, load, a2, a1, eta1, cfg, g)
         chi_new = _kernels.te_phase(chi, base, w, alpha, load, totals, q,
                                     eta2)
         delta = float(np.linalg.norm(chi_new - chi))
-        rec_iter.append(g)
         rec_price.append(price)
         rec_load.append(load)
         rec_delta.append(delta)
@@ -175,7 +179,6 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
         rec_eta1.append(eta1)
         rec_eta2.append(eta2)
         chi = chi_new
-        lam = lam_new
         iterations = g
         eta1 *= cfg.eta1_decay
         eta2 *= cfg.eta2_decay
@@ -185,7 +188,6 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
             break
 
     trace = IterationTrace(
-        iteration=np.array(rec_iter, dtype=int),
         price=np.array(rec_price),
         load=np.array(rec_load),
         delta=np.array(rec_delta),
@@ -205,9 +207,9 @@ def supplier_fixed_point(loads: np.ndarray, cost_coeffs: np.ndarray,
                          solver: SolverConfig):
     """Run the supplier game alone at fixed per-slot loads.
 
-    Same ascent rule, step schedule and stopping style as the full loop,
-    applied to the bid matrix only: stop when consecutive bid matrices are
-    closer than epsilon in Frobenius norm. Returns
+    The same supplier step, step schedule and bid stopping rule as the
+    full loop, applied to the bid matrix only: stop when consecutive bid
+    matrices are closer than epsilon in Frobenius norm. Returns
     (bids, iterations_used, converged).
     """
     solver.validate()
@@ -220,12 +222,8 @@ def supplier_fixed_point(loads: np.ndarray, cost_coeffs: np.ndarray,
     converged = False
     iterations = 0
     for g in range(1, solver.max_iterations + 1):
-        new_lam, totals, _, bad = _kernels.es_phase(
-            lam, loads, a2, a1, eta1, solver.singularity_delta)
-        if bad >= 0:
-            raise _degenerate(totals, bad, g)
-        delta = _bid_step_norm(new_lam, lam, g)
-        lam = new_lam
+        lam, _, _, delta = _supplier_step(lam, loads, a2, a1, eta1,
+                                          solver, g)
         iterations = g
         eta1 *= solver.eta1_decay
         if delta < _threshold(solver, lam):

@@ -22,7 +22,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -50,6 +49,7 @@ from .metrics_report import build_report, compute_baseline, emit
 from .scenario_io import (
     GenerationParams,
     generate_scenario,
+    load_result,
     load_scenario,
     save_result,
     save_scenario,
@@ -194,8 +194,7 @@ def _apply_overrides(scenario: Scenario, overrides: dict) -> tuple[Scenario, dic
                 f"{sorted(_SOLVER_KEYS)})")
         solver_kwargs[name] = value
         applied[f"solver.{name}"] = value
-    if solver_kwargs:
-        scenario.solver = scenario.solver.overridden(**solver_kwargs)
+    scenario.solver = dataclasses.replace(scenario.solver, **solver_kwargs)
     scenario.validate()
     return scenario, applied
 
@@ -271,39 +270,6 @@ def cmd_run(args) -> int:
 # oracle
 # --------------------------------------------------------------------------
 
-def _read_grid(path: str, shape: tuple[int, int], fields: int) -> np.ndarray:
-    """Read an ``id,slot,...,value`` CSV of a result bundle into a matrix.
-
-    Each (id, slot) pair must appear exactly once and in range, with a
-    finite value; anything else raises ValueError naming the file and
-    line.
-    """
-    out = np.empty(shape)
-    seen = np.zeros(shape, dtype=bool)
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()  # header
-        for lineno, line in enumerate(fh, start=2):
-            cells = line.rstrip("\n").split(",")
-            try:
-                if len(cells) != fields:
-                    raise ValueError(f"expected {fields} fields")
-                row, slot = int(cells[0]), int(cells[1])
-                if not (0 <= row < shape[0] and 0 <= slot < shape[1]):
-                    raise ValueError(f"({row}, {slot}) is out of range")
-                if seen[row, slot]:
-                    raise ValueError(f"({row}, {slot}) appears twice")
-                value = float(cells[-1])
-                if not math.isfinite(value):
-                    raise ValueError(f"non-finite value {cells[-1]!r}")
-                seen[row, slot] = True
-                out[row, slot] = value
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-    if not seen.all():
-        raise ValueError(f"{path}: {(~seen).sum()} (id, slot) pairs missing")
-    return out
-
-
 def cmd_oracle(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -314,10 +280,7 @@ def cmd_oracle(args) -> int:
     bids = None
     if args.result:
         try:
-            demand = _read_grid(os.path.join(args.result, "demands.csv"),
-                                demand.shape, fields=4)
-            bids = _read_grid(os.path.join(args.result, "bids.csv"),
-                              (scenario.num_es, scenario.num_slots), fields=3)
+            demand, bids = load_result(args.result, scenario)
         except (OSError, ValueError) as exc:
             return _fail(EXIT_IO, f"cannot read result bundle: {exc}")
 

@@ -14,7 +14,7 @@ i = 0..N-1, slots t = 0..T-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -98,11 +98,6 @@ class SolverConfig:
             raise DomainError("max_iterations must be at least 1")
         if not (0 <= self.singularity_delta < 0.5):
             raise DomainError("singularity_delta must lie in [0, 0.5)")
-
-    def overridden(self, **changes) -> "SolverConfig":
-        cfg = replace(self, **changes)
-        cfg.validate()
-        return cfg
 
 
 @dataclass

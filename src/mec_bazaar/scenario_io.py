@@ -18,6 +18,10 @@ the other fields, keyed by the sha256 of the JSON bytes it was written
 with. A load uses the companion only while that digest matches the
 file; otherwise it parses the JSON, which stays the only source of
 truth.
+
+A result bundle is written by ``save_result`` and its final demand and
+bids are read back by ``load_result``, so this module alone knows the
+bundle's file names and layouts.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import stat
 from dataclasses import dataclass, field
@@ -45,6 +50,7 @@ __all__ = [
     "save_scenario",
     "load_scenario",
     "save_result",
+    "load_result",
     "SCHEMA_VERSION",
 ]
 
@@ -387,6 +393,9 @@ def load_scenario(path, *, with_digest: bool = False):
             raise ScenarioFormatError(
                 f"{path}: not valid JSON (line {exc.lineno}, "
                 f"col {exc.colno})")
+        except UnicodeDecodeError as exc:
+            raise ScenarioFormatError(
+                f"{path}: not valid UTF-8 ({exc.reason})") from None
         except RecursionError:
             raise ScenarioFormatError(
                 f"{path}: not valid JSON (nested too deeply)") from None
@@ -499,10 +508,10 @@ def save_result(out_dir: str, result, scenario: Scenario) -> dict:
         paths["trace"],
         ["iteration", "slot", "price", "load", "frobenius_delta", "eta1",
          "eta2"],
-        ((int(trace.iteration[k]), t, float(trace.price[k, t]),
+        ((k + 1, t, float(trace.price[k, t]),
           float(trace.load[k, t]), float(trace.delta[k]),
           float(trace.eta1[k]), float(trace.eta2[k]))
-         for k in range(trace.iteration.size) for t in slots))
+         for k in range(trace.delta.size) for t in slots))
     with open(paths["demands"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("te_id,slot,chi_before,chi_after\n")
         fh.writelines(
@@ -516,3 +525,54 @@ def save_result(out_dir: str, result, scenario: Scenario) -> dict:
         ((j, t, float(result.bids[j, t]))
          for j in range(scenario.num_es) for t in slots))
     return paths
+
+
+def _read_grid(path: str, shape: tuple[int, int], fields: int) -> np.ndarray:
+    """Read an ``id,slot,...,value`` CSV of a result bundle into a matrix.
+
+    Each (id, slot) pair must appear exactly once and in range, with a
+    finite value; anything else raises ValueError naming the file and
+    line.
+    """
+    out = np.empty(shape)
+    seen = np.zeros(shape, dtype=bool)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()  # header
+            for lineno, line in enumerate(fh, start=2):
+                cells = line.rstrip("\n").split(",")
+                try:
+                    if len(cells) != fields:
+                        raise ValueError(f"expected {fields} fields")
+                    row, slot = int(cells[0]), int(cells[1])
+                    if not (0 <= row < shape[0] and 0 <= slot < shape[1]):
+                        raise ValueError(f"({row}, {slot}) is out of range")
+                    if seen[row, slot]:
+                        raise ValueError(f"({row}, {slot}) appears twice")
+                    value = float(cells[-1])
+                    if not math.isfinite(value):
+                        raise ValueError(f"non-finite value {cells[-1]!r}")
+                    seen[row, slot] = True
+                    out[row, slot] = value
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    if not seen.all():
+        raise ValueError(f"{path}: {(~seen).sum()} (id, slot) pairs missing")
+    return out
+
+
+def load_result(out_dir: str,
+                scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Read the final (demand, bids) of a bundle ``save_result`` wrote
+    under ``out_dir`` for ``scenario``, from demands.csv and bids.csv.
+
+    Raises ValueError naming the file (and line) when either is not a
+    complete, finite grid of the scenario's shape.
+    """
+    demand = _read_grid(os.path.join(out_dir, "demands.csv"),
+                        (scenario.num_te, scenario.num_slots), fields=4)
+    bids = _read_grid(os.path.join(out_dir, "bids.csv"),
+                      (scenario.num_es, scenario.num_slots), fields=3)
+    return demand, bids

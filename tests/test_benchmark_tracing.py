@@ -47,6 +47,13 @@ def test_traced_pass_reaches_kernel_layers(tmp_path):
     names = {span[0] for span in doc["spans"]}
     assert {"kernels.es_phase", "kernels.te_phase",
             "kernels.project_rows_np"} <= names
+    # the layers reached through cli and metrics_report, by the names
+    # the benchmark reports them under
+    assert {"metrics_report.compute_baseline", "metrics_report.build_report",
+            "metrics_report.emit", "bidding_games.run_dtoa",
+            "bidding_games.supplier_fixed_point", "scenario_io.save_result",
+            "scenario_io.load_scenario"} <= names
+    assert doc["counts"]["market_model.compute_agent_economics_calls"] > 0
     # oracle --result solves every customer's best response in one call,
     # with one batched projection
     assert "equilibrium_oracle.best_response" in names

@@ -373,16 +373,6 @@ class TestRunDtoa:
         assert res.status == "iteration-cap-reached"
         assert res.iterations_used == 3
 
-    def test_degenerate_market_abort(self):
-        s = generate_scenario(GenerationParams(
-            num_te=10, num_es=3, num_slots=4, seed=8))
-        # serving cost far above any price pushes every bid to zero
-        s.cost_coeffs[:, 1] = 1e9
-        with pytest.raises(DegenerateMarketError) as err:
-            run_dtoa(s)
-        assert err.value.slot is not None
-        assert err.value.iteration is not None
-
     def test_lemma1_region_at_convergence(self):
         s = generate_scenario(GenerationParams(
             num_te=30, num_es=4, num_slots=6, seed=21))
@@ -392,19 +382,35 @@ class TestRunDtoa:
         assert np.all(res.bids < totals - res.bids)
 
 
-class TestSupplierFixedPoint:
-    def test_overflowing_step_norm_raises(self):
-        # finite bids (about 3e300) whose step has no finite norm
+class TestSupplierStep:
+    """Both loops take the same supplier step and fail the same way."""
+
+    @pytest.mark.parametrize("case", ["collapse", "overflow"])
+    @pytest.mark.parametrize("entry", ["run_dtoa", "supplier_fixed_point"])
+    def test_degenerate_market(self, entry, case):
         s = generate_scenario(GenerationParams(
             num_te=20, num_es=3, num_slots=4, seed=1))
-        loads = (s.initial_demand + s.base_demand).sum(axis=0)
-        cfg = SolverConfig(eta1_init=1e300)
-        with pytest.raises(DegenerateMarketError,
-                           match="bid step overflowed") as exc:
-            supplier_fixed_point(loads, s.cost_coeffs, cfg)
-        assert exc.value.iteration == 1
-        assert 0 <= exc.value.slot < 4
+        if case == "collapse":
+            # serving cost far above any price pushes every bid to zero
+            s.cost_coeffs[:, 1] = 1e9
+            expected = "bids collapsed to zero at slot 0, iteration 1"
+        else:
+            # finite bids (about 3e300) whose step has no finite norm;
+            # slot 3 moves the most
+            s.solver = SolverConfig(eta1_init=1e300)
+            expected = "bid step overflowed at slot 3, iteration 1"
+        with pytest.raises(DegenerateMarketError) as err:
+            if entry == "run_dtoa":
+                run_dtoa(s)
+            else:
+                loads = (s.initial_demand + s.base_demand).sum(axis=0)
+                supplier_fixed_point(loads, s.cost_coeffs, s.solver)
+        assert str(err.value) == expected
+        assert err.value.slot == (0 if case == "collapse" else 3)
+        assert err.value.iteration == 1
 
+
+class TestSupplierFixedPoint:
     def test_matches_oracle_price(self):
         from mec_bazaar.equilibrium_oracle import solve_supplier_equilibrium
         rng = np.random.default_rng(19)

@@ -360,6 +360,14 @@ class TestMalformedScenario:
         line = error_line(out)
         assert str(path) in line and "not valid JSON" in line
 
+    def test_not_utf8(self, tmp_path, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"a": "\xff"}')
+        out = load_with(command, path, tmp_path)
+        assert out.returncode == 1
+        line = error_line(out)
+        assert str(path) in line and "not valid UTF-8" in line
+
     @pytest.mark.parametrize("name,value", [("num_es", [10]),
                                             ("num_te", float("inf")),
                                             ("seed", "x")])
@@ -522,6 +530,24 @@ class TestOracle:
         assert "bids.csv" in out.stderr and "out of range" in out.stderr
         assert "Traceback" not in out.stderr
 
+
+    @pytest.mark.parametrize("name", ["demands.csv", "bids.csv"])
+    def test_not_utf8_bundle_named(self, small_scenario, small_bundle,
+                                   tmp_path, name):
+        bundle = tmp_path / "latin1"
+        bundle.mkdir()
+        for csv in ("demands.csv", "bids.csv"):
+            data = (small_bundle / csv).read_bytes()
+            (bundle / csv).write_bytes(data + b"\xff\n" if csv == name
+                                       else data)
+        report_path = tmp_path / "r.json"
+        out = cli("oracle", "--scenario", str(small_scenario), "--slot", "0",
+                  "--samples", "5", "--result", str(bundle),
+                  "-o", str(report_path))
+        assert out.returncode == 1
+        line = error_line(out)
+        assert str(bundle / name) in line and "not valid UTF-8" in line
+        assert not report_path.exists()
 
     @pytest.mark.parametrize("name", ["demands.csv", "bids.csv"])
     def test_non_finite_value_rejected(self, small_scenario, small_bundle,

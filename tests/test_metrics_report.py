@@ -89,12 +89,12 @@ class TestBaseline:
 class TestReport:
     def test_fields_filled(self, small_run):
         s, baseline, result, report = small_run
-        assert report.num_te == 25 and report.num_es == 4
-        assert report.peak_before == baseline.state.load.max()
-        assert report.peak_after == result.state.load.max()
-        assert report.par_before >= 1.0 and report.par_after >= 1.0
-        assert report.iterations == result.iterations_used
-        assert report.runtime_seconds == 0.5
+        assert report["num_te"] == 25 and report["num_es"] == 4
+        assert report["peak_before"] == baseline.state.load.max()
+        assert report["peak_after"] == result.state.load.max()
+        assert report["par_before"] >= 1.0 and report["par_after"] >= 1.0
+        assert report["iterations"] == result.iterations_used
+        assert report["runtime_seconds"] == 0.5
 
     def test_payoff_identity(self, small_run):
         s, baseline, result, report = small_run
@@ -102,23 +102,26 @@ class TestReport:
                                  s.initial_demand + s.base_demand).sum(axis=1)
         util_after = te_utility(s.utility_w, s.utility_alpha,
                                 result.demand + s.base_demand).sum(axis=1)
-        lhs = report.te_payoff_after - report.te_payoff_before
+        lhs = np.subtract(report["te_payoff_after"],
+                          report["te_payoff_before"])
         rhs = ((util_after - util_before)
-               - (report.te_payout_after - report.te_payout_before))
+               - np.subtract(report["te_payout_after"],
+                             report["te_payout_before"]))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
     def test_demand_conserved(self, small_run):
         _, _, _, report = small_run
-        assert report.load_after.sum() == pytest.approx(
-            report.load_before.sum(), rel=1e-9)
+        assert np.sum(report["load_after"]) == pytest.approx(
+            np.sum(report["load_before"]), rel=1e-9)
 
     def test_identical_states_give_zero_deltas(self, small_run):
         s, baseline, result, report = small_run
         same = build_report(s, baseline, run_dtoa(s))
         # rebuilding from the same deterministic run changes nothing
-        np.testing.assert_array_equal(same.te_payout_after,
-                                      report.te_payout_after)
-        np.testing.assert_array_equal(same.load_after, report.load_after)
+        np.testing.assert_array_equal(same["te_payout_after"],
+                                      report["te_payout_after"])
+        np.testing.assert_array_equal(same["load_after"],
+                                      report["load_after"])
 
 
 class TestEmit:
@@ -126,7 +129,7 @@ class TestEmit:
         _, _, _, report = small_run
         paths = emit(report, tmp_path / "rep")
         doc = json.loads(open(paths["report"]).read())
-        assert doc["par_before"] == pytest.approx(report.par_before)
+        assert doc["par_before"] == pytest.approx(report["par_before"])
         assert len(doc["te_payout_before"]) == 25
         demand_lines = open(paths["fig_demand"]).read().splitlines()
         assert demand_lines[0] == "slot,load_before,load_after"
