@@ -6,6 +6,13 @@ Every agent's update is computed at once, as whole-array operations over
 the bid matrix (M x T) and the demand matrix (N x T). The two ascent
 directions are kernels of their own, so the gradient check evaluates the
 same code the solver steps along. All kernels are deterministic.
+
+The customer-phase kernels (``te_gradient``, ``te_phase``,
+``project_rows_np``) take optional keyword-only output and scratch
+buffers, so the solver loop can run them in a workspace it allocates
+once (see ``bidding_games.run_dtoa``). A buffer not given is allocated
+and the same in-place sequence of ufuncs runs on it, so a call gives the
+same bits with or without a workspace.
 """
 
 from __future__ import annotations
@@ -13,7 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def project_rows_np(cand: np.ndarray, totals: np.ndarray) -> np.ndarray:
+def project_rows_np(cand: np.ndarray, totals: np.ndarray, *,
+                    out: np.ndarray | None = None,
+                    srt: np.ndarray | None = None) -> np.ndarray:
     """Project each row of ``cand`` onto {x >= 0, sum x = total}.
 
     Exact sort-and-threshold projection, vectorized over rows. With the
@@ -29,17 +38,24 @@ def project_rows_np(cand: np.ndarray, totals: np.ndarray) -> np.ndarray:
     last bits), so the test and theta have the full computation's bits.
     Only the other rows (clipped entries, zero totals, NaN) are run
     through the full computation, which treats each row on its own.
+
+    ``out`` receives the projection and ``srt`` the sorted rows; each is
+    allocated when not given, and must not overlap ``cand`` or the other.
     """
     r, t = cand.shape
     totals = np.broadcast_to(totals, (r,))
-    srt = np.sort(cand, axis=1)
+    if srt is None:
+        srt = np.empty_like(cand)
+    np.copyto(srt, cand)
+    srt.sort(axis=1)
     s = srt[:, t - 1].copy()
     for j in range(t - 2, -1, -1):
         s += srt[:, j]
     s -= totals
     shift = srt[:, 0] * float(t) > s
     s /= float(t)
-    out = np.maximum(cand - s[:, None], 0.0)
+    out = np.subtract(cand, s[:, None], out=out)
+    np.maximum(out, 0.0, out=out)
     if not shift.all():
         slow = ~shift
         out[slow] = _project_sorted(cand[slow], srt[slow], totals[slow])
@@ -104,7 +120,7 @@ def es_phase(lam, load, a2, a1, eta1, delta):
     return new_lam, new_totals, new_price, -1
 
 
-def te_gradient(chi, base, w, alpha, load, totals):
+def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None):
     """Exact partial derivative of each customer's payoff in its demand.
 
     U'(x) - (L + x) / sum(bids) with x = chi + base, per customer and
@@ -113,22 +129,40 @@ def te_gradient(chi, base, w, alpha, load, totals):
 
     U'(x) = max(w - alpha x, 0): for finite inputs, fl(w - alpha x) >= 0
     exactly when alpha x <= w, so this has the bits of the piecewise form.
+
+    ``out`` receives the gradient and ``x`` is scratch for chi + base;
+    each is allocated in the shape of ``chi`` when not given.
     """
-    x = chi + base
-    up = np.maximum(w - alpha * x, 0.0)
+    if x is None:
+        x = np.empty(np.shape(chi))
+    if out is None:
+        out = np.empty(np.shape(chi))
+    np.add(chi, base, out=x)
+    np.multiply(alpha, x, out=out)
+    np.subtract(w, out, out=out)
+    np.maximum(out, 0.0, out=out)
     x += load
     x /= totals
-    up -= x
-    return up
+    out -= x
+    return out
 
 
-def te_phase(chi, base, w, alpha, load, totals, q, eta2):
+def te_phase(chi, base, w, alpha, load, totals, q, eta2, *, out=None,
+             grad=None, scratch=None):
     """One simultaneous demand-ascent step for every customer row.
 
     Steps along ``te_gradient``, then projects each row back onto its
     fixed daily total (Euclidean projection).
+
+    The step runs in two N x T buffers besides ``out``, which receives
+    the new demand: ``grad`` holds the stepped rows and ``scratch`` first
+    holds chi + base for the gradient, then the sorted rows for the
+    projection. Each is allocated when not given; none may overlap
+    ``chi`` or another. Only a few per-row vectors are allocated per
+    call once all three are given.
     """
-    grad = te_gradient(chi, base, w, alpha, load, totals)
+    grad = te_gradient(chi, base, w, alpha, load, totals, out=grad,
+                       x=scratch)
     grad *= eta2
     grad += chi
-    return project_rows_np(grad, q)
+    return project_rows_np(grad, q, out=out, srt=scratch)

@@ -141,10 +141,23 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
 
     Deterministic for a fixed scenario: the initial demand comes from the
     scenario's seeded draw and bids start at ``lambda_init``.
+
+    The customer phase runs in a workspace of four N x T buffers
+    allocated once: the current demand, the spare that ``te_phase``
+    writes the new demand into (the two swap every iteration), and
+    ``te_phase``'s ``grad`` and ``scratch``; ``grad`` then holds the
+    demand step whose norm is taken. The current demand starts as a copy,
+    so the scenario's own initial demand is never written. The three
+    buffers besides the final demand are released before the market
+    state and agent economics are computed, which set the run's memory
+    peak.
     """
     scenario.validate()
     cfg = scenario.solver
-    chi = np.ascontiguousarray(scenario.initial_demand, dtype=float)
+    chi = np.array(scenario.initial_demand, dtype=float, order="C")
+    spare = np.empty_like(chi)
+    grad = np.empty_like(chi)
+    scratch = np.empty_like(chi)
     base = np.ascontiguousarray(scenario.base_demand, dtype=float)
     w = np.ascontiguousarray(scenario.utility_w, dtype=float)
     alpha = np.ascontiguousarray(scenario.utility_alpha, dtype=float)
@@ -170,15 +183,16 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
         lam, totals, price, bid_delta = _supplier_step(
             lam, load, a2, a1, eta1, cfg, g)
         chi_new = _kernels.te_phase(chi, base, w, alpha, load, totals, q,
-                                    eta2)
-        delta = float(np.linalg.norm(chi_new - chi))
+                                    eta2, out=spare, grad=grad,
+                                    scratch=scratch)
+        delta = float(np.linalg.norm(np.subtract(chi_new, chi, out=grad)))
         rec_price.append(price)
         rec_load.append(load)
         rec_delta.append(delta)
         rec_bid_delta.append(bid_delta)
         rec_eta1.append(eta1)
         rec_eta2.append(eta2)
-        chi = chi_new
+        chi, spare = chi_new, chi
         iterations = g
         eta1 *= cfg.eta1_decay
         eta2 *= cfg.eta2_decay
@@ -195,6 +209,7 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
         eta1=np.array(rec_eta1),
         eta2=np.array(rec_eta2),
     )
+    del spare, grad, scratch
     state = compute_market_state(chi, base, lam)
     econ = compute_agent_economics(chi, base, lam, scenario.cost_coeffs,
                                    w, alpha, state)

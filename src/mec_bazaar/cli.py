@@ -166,9 +166,9 @@ def _gen_params_from_args(args) -> GenerationParams:
 def cmd_gen(args) -> int:
     try:
         params = _gen_params_from_args(args)
+        scenario = generate_scenario(params)
     except (DomainError, ValueError) as exc:
         return _fail(EXIT_USAGE, f"invalid generation parameters: {exc}")
-    scenario = generate_scenario(params)
     try:
         save_scenario(args.output, scenario, generation=params)
     except OSError as exc:

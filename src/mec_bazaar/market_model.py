@@ -167,6 +167,13 @@ class Scenario:
         if np.any(np.abs(row_sums - self.shiftable_total) > 1e-9 * scale):
             raise DomainError(
                 "initial_demand row sums must equal shiftable_total")
+        # a slot without load has no price and makes PAR undefined
+        empty = (self.base_demand.sum(axis=0)
+                 + self.initial_demand.sum(axis=0)) <= 0
+        if np.any(empty):
+            raise DomainError(
+                f"slot {int(np.argmax(empty))} has no load: base_demand "
+                "plus initial_demand sums to 0")
         self.solver.validate()
 
 

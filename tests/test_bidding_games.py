@@ -1,5 +1,8 @@
 """Unit tests for the game updates and the solver orchestration."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +16,11 @@ from mec_bazaar.bidding_games import (
 )
 from mec_bazaar.errors import DegenerateMarketError, DomainError
 from mec_bazaar.market_model import SolverConfig, es_profit
-from mec_bazaar.scenario_io import GenerationParams, generate_scenario
+from mec_bazaar.scenario_io import (
+    GenerationParams,
+    generate_scenario,
+    save_result,
+)
 
 # Derandomized, so every run draws the same examples; no deadline, since
 # a shared host can stall any single example.
@@ -372,6 +379,38 @@ class TestRunDtoa:
         res = run_dtoa(s)
         assert res.status == "iteration-cap-reached"
         assert res.iterations_used == 3
+
+    def test_scenario_left_untouched(self, tmp_path):
+        # the loop swaps two demand buffers; neither may be the
+        # scenario's own initial demand, which is the "before" profile
+        s = generate_scenario(GenerationParams(
+            num_te=40, num_es=4, num_slots=6, seed=13))
+        arrays = {f.name: getattr(s, f.name).copy()
+                  for f in dataclasses.fields(s)
+                  if isinstance(getattr(s, f.name), np.ndarray)}
+        bundles = []
+        for k in range(2):
+            res = run_dtoa(s)
+            assert res.iterations_used > 2
+            save_result(str(tmp_path / str(k)), res, s)
+            bundles.append({p.name: p.read_bytes()
+                            for p in (tmp_path / str(k)).iterdir()})
+        for name, want in arrays.items():
+            assert getattr(s, name).tobytes() == want.tobytes(), name
+        assert len(bundles[0]) == 4
+        assert bundles[0] == bundles[1]
+
+    def test_memory_peak(self):
+        # N=2000, T=24: the customer phase's workspace is released before
+        # the market state and economics, which set the run's peak
+        s = generate_scenario(GenerationParams(num_te=2000, seed=1))
+        tracemalloc.start()
+        try:
+            run_dtoa(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5 * s.initial_demand.nbytes
 
     def test_lemma1_region_at_convergence(self):
         s = generate_scenario(GenerationParams(

@@ -133,6 +133,21 @@ class TestGen:
         assert not (tmp_path / "x.json").exists()
 
 
+    def test_zero_load_slot_rejected(self, tmp_path):
+        # no base demand and nothing to shift leaves every slot without
+        # load, so no slot has a price and PAR is undefined
+        path = tmp_path / "x.json"
+        out = cli("gen", "--seed", "1", "--tes", "3", "--ess", "2",
+                  "--slots", "3",
+                  "--param", "base_demand_range_lo=0",
+                  "--param", "base_demand_range_hi=0",
+                  "--param", "shiftable_fraction_range_lo=0",
+                  "--param", "shiftable_fraction_range_hi=0",
+                  "-o", str(path))
+        assert out.returncode == 2
+        assert "slot 0 has no load" in error_line(out)
+        assert not path.exists()
+
     @pytest.mark.parametrize("key", ["a1", "solver.epsilon"])
     def test_huge_integer_param_rejected(self, tmp_path, key):
         out = cli("gen", "--seed", "2", "--tes", "5", "--param",
@@ -332,6 +347,21 @@ class TestMalformedScenario:
         line = error_line(out)
         assert str(path) in line
         assert "utility_w has shape (40, 6), expected (39, 6)" in line
+
+    def test_zero_load_slot(self, small_scenario, tmp_path, command):
+        def edit(doc):
+            # empty slot 2 and keep every row's shiftable total consistent
+            for name in ("base_demand", "initial_demand"):
+                for row in doc[name]:
+                    row[2] = 0.0
+            doc["shiftable_total"] = [sum(row)
+                                      for row in doc["initial_demand"]]
+        path = self.write(small_scenario, tmp_path, edit)
+        out = load_with(command, path, tmp_path)
+        assert out.returncode == 1
+        line = error_line(out)
+        assert str(path) in line and "slot 2 has no load" in line
+        assert not (tmp_path / "o").exists()
 
     def test_huge_integer_in_table(self, small_scenario, tmp_path, command):
         def edit(doc):

@@ -1,8 +1,11 @@
 """Tests of the solver's phase kernels: projection and degenerate cases.
 
 The customer phase is checked bit for bit against the plain formulas
-below, which are the reference the kernels must reproduce exactly.
+below, which are the reference the kernels must reproduce exactly, and
+against itself run in a caller's workspace instead of fresh arrays.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -41,7 +44,9 @@ def gradient_reference(chi, base, w, alpha, load, totals):
     return up - (load + x) / totals
 
 
-def te_phase_reference(chi, base, w, alpha, load, totals, q, eta2):
+def te_phase_reference(chi, base, w, alpha, load, totals, q, eta2,
+                       **workspace):
+    """The step in fresh arrays; the workspace buffers are ignored."""
     grad = gradient_reference(chi, base, w, alpha, load, totals)
     return project_reference(chi + eta2 * grad, q)
 
@@ -196,6 +201,77 @@ class TestCustomerPhaseExact:
                          te_phase_reference(*args, q, eta2))
         for a, b in zip(args, before):
             assert_same_bits(a, b)
+
+
+def dirty(like, count):
+    """``count`` buffers shaped like ``like``, filled with leftovers."""
+    return [np.full_like(like, np.nan) for _ in range(count)]
+
+
+class TestWorkspace:
+    """With caller buffers the kernels give the bytes of the allocating
+    call, leave their inputs alone and do not depend on what the buffers
+    held before."""
+
+    @deterministic
+    @given(seed=seeds, t=st.integers(1, 30), kinds=rows)
+    def test_projection_same_bytes(self, seed, t, kinds):
+        rng = np.random.default_rng(seed)
+        made = [make_row(rng, shape, total, t) for shape, total in kinds]
+        cand = np.array([v for v, _ in made])
+        totals = np.array([q for _, q in made])
+        before = cand.copy(), totals.copy()
+        want = _kernels.project_rows_np(cand, totals)
+        out, srt = dirty(cand, 2)
+        for _ in range(2):
+            got = _kernels.project_rows_np(cand, totals, out=out, srt=srt)
+            assert got is out
+            assert_same_bits(got, want)
+        assert_same_bits(cand, before[0])
+        assert_same_bits(totals, before[1])
+
+    @deterministic
+    @given(seed=seeds, n=st.integers(1, 20), t=st.integers(1, 12),
+           eta2=st.floats(1e-3, 1e3),
+           totals=st.lists(st.sampled_from(TOTALS), min_size=20,
+                           max_size=20))
+    def test_phase_same_bytes(self, seed, n, t, eta2, totals):
+        rng = np.random.default_rng(seed)
+        args = customer_inputs(rng, n, t)
+        # daily totals that leave each stepped row unclipped, clip some
+        # of it, leave about one entry or zero every entry
+        scale = {"unclipped": 1.0, "clipped": 0.3, "one_left": 1e-3,
+                 "zero": 0.0}
+        q = args[0].sum(axis=1) * np.array([scale[k] for k in totals[:n]])
+        before = [a.copy() for a in (*args, q)]
+        want = _kernels.te_phase(*args, q, eta2)
+        out, grad, scratch = dirty(args[0], 3)
+        for _ in range(2):
+            got = _kernels.te_phase(*args, q, eta2, out=out, grad=grad,
+                                    scratch=scratch)
+            assert got is out
+            assert_same_bits(got, want)
+        for a, b in zip((*args, q), before):
+            assert_same_bits(a, b)
+
+    def test_phase_allocates_no_matrix(self):
+        # N=2000, T=24: with a workspace one step allocates only per-row
+        # vectors, a small fraction of one N x T buffer
+        s = generate_scenario(GenerationParams(num_te=2000, seed=1))
+        chi = s.initial_demand
+        args = (chi, s.base_demand, s.utility_w, s.utility_alpha,
+                (chi + s.base_demand).sum(axis=0),
+                np.full(chi.shape[1], s.num_es * s.solver.lambda_init),
+                s.shiftable_total, s.solver.eta2_init)
+        out, grad, scratch = dirty(chi, 3)
+        _kernels.te_phase(*args, out=out, grad=grad, scratch=scratch)
+        tracemalloc.start()
+        try:
+            _kernels.te_phase(*args, out=out, grad=grad, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * chi.nbytes
 
 
 class TestBundleBytes:
