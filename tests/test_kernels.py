@@ -233,16 +233,16 @@ class TestWorkspace:
     @deterministic
     @given(seed=seeds, n=st.integers(1, 20), t=st.integers(1, 12),
            eta2=st.floats(1e-3, 1e3),
-           totals=st.lists(st.sampled_from(TOTALS), min_size=20,
-                           max_size=20))
-    def test_phase_same_bytes(self, seed, n, t, eta2, totals):
+           kinds=st.lists(st.sampled_from(TOTALS), min_size=20,
+                          max_size=20))
+    def test_phase_same_bytes(self, seed, n, t, eta2, kinds):
         rng = np.random.default_rng(seed)
         args = customer_inputs(rng, n, t)
         # daily totals that leave each stepped row unclipped, clip some
         # of it, leave about one entry or zero every entry
         scale = {"unclipped": 1.0, "clipped": 0.3, "one_left": 1e-3,
                  "zero": 0.0}
-        q = args[0].sum(axis=1) * np.array([scale[k] for k in totals[:n]])
+        q = args[0].sum(axis=1) * np.array([scale[k] for k in kinds[:n]])
         before = [a.copy() for a in (*args, q)]
         want = _kernels.te_phase(*args, q, eta2)
         out, grad, scratch = dirty(args[0], 3)
