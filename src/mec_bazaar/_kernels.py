@@ -13,6 +13,11 @@ buffers, so the solver loop can run them in a workspace it allocates
 once (see ``bidding_games.run_dtoa``). A buffer not given is allocated
 and the same in-place sequence of ufuncs runs on it, so a call gives the
 same bits with or without a workspace.
+
+The projection shifts each row uniformly by its excess over the daily
+total and sorts only the rows where that shift drives an entry below
+zero; its bits are those of the shift, not of a full sort-and-threshold
+pass, with which it agrees to rounding.
 """
 
 from __future__ import annotations
@@ -21,52 +26,41 @@ import numpy as np
 
 
 def project_rows_np(cand: np.ndarray, totals: np.ndarray, *,
-                    out: np.ndarray | None = None,
-                    srt: np.ndarray | None = None) -> np.ndarray:
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Project each row of ``cand`` onto {x >= 0, sum x = total}.
 
-    Exact sort-and-threshold projection, vectorized over rows. With the
-    row sorted descending (u) and css its running sum, the threshold index
-    rho is the last k with u_k (k+1) > css_k - total.
+    Fast path: shift every row uniformly by theta = (row sum - total) / T,
+    the row sum being numpy's per-row ``sum``. A row whose shifted entries
+    are all >= 0 is then its own projection, as no entry clips; this holds
+    for every row of the reference and wide runs, so the fast path sorts
+    nothing. Only the other rows (a negative entry, a NaN, or a theta that
+    is not finite) go to the sort-and-threshold projection
+    ``_project_sorted``, which treats each row on its own.
 
-    Fast path: where that test holds at k = T-1 (the row's smallest entry
-    stays positive after the shift), rho = T-1 and the projection is the
-    uniform shift theta = (css_{T-1} - total) / T. This holds for every
-    row of the reference and wide runs. css_{T-1} is summed one sorted
-    column at a time from the largest entry down, the order in which
-    ``np.cumsum`` adds (``np.sum`` adds pairwise and would change the
-    last bits), so the test and theta have the full computation's bits.
-    Only the other rows (clipped entries, zero totals, NaN) are run
-    through the full computation, which treats each row on its own.
-
-    ``out`` receives the projection and ``srt`` the sorted rows; each is
-    allocated when not given, and must not overlap ``cand`` or the other.
+    ``out`` receives the projection; it is allocated when not given, and
+    must not overlap ``cand``.
     """
     r, t = cand.shape
     totals = np.broadcast_to(totals, (r,))
-    if srt is None:
-        srt = np.empty_like(cand)
-    np.copyto(srt, cand)
-    srt.sort(axis=1)
-    s = srt[:, t - 1].copy()
-    for j in range(t - 2, -1, -1):
-        s += srt[:, j]
-    s -= totals
-    shift = srt[:, 0] * float(t) > s
-    s /= float(t)
-    out = np.subtract(cand, s[:, None], out=out)
-    np.maximum(out, 0.0, out=out)
-    if not shift.all():
-        slow = ~shift
-        out[slow] = _project_sorted(cand[slow], srt[slow], totals[slow])
+    theta = cand.sum(axis=1)
+    theta -= totals
+    theta /= float(t)
+    out = np.subtract(cand, theta[:, None], out=out)
+    finite = np.isfinite(theta)
+    # min propagates NaN, so a NaN entry fails the test as well
+    if not (finite.all() and out.min(initial=0.0) >= 0.0):
+        slow = ~(finite & (out >= 0.0).all(axis=1))
+        out[slow] = _project_sorted(cand[slow], totals[slow])
     return out
 
 
-def _project_sorted(cand, srt, totals):
-    """Sort-and-threshold projection of rows whose ascending sort is
-    ``srt``: the general case behind ``project_rows_np``."""
+def _project_sorted(cand, totals):
+    """Sort-and-threshold projection of each row of ``cand``: the general
+    case behind ``project_rows_np``. With the row sorted descending (u)
+    and css its running sum, the threshold index rho is the last k with
+    u_k (k+1) > css_k - total."""
     r, t = cand.shape
-    u = srt[:, ::-1]
+    u = np.sort(cand, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1)
     k = np.arange(1.0, t + 1.0)
     cond = u * k > css - totals[:, None]
@@ -155,14 +149,13 @@ def te_phase(chi, base, w, alpha, load, totals, q, eta2, *, out=None,
     fixed daily total (Euclidean projection).
 
     The step runs in two N x T buffers besides ``out``, which receives
-    the new demand: ``grad`` holds the stepped rows and ``scratch`` first
-    holds chi + base for the gradient, then the sorted rows for the
-    projection. Each is allocated when not given; none may overlap
-    ``chi`` or another. Only a few per-row vectors are allocated per
-    call once all three are given.
+    the new demand: ``grad`` holds the stepped rows and ``scratch`` holds
+    chi + base for the gradient. Each is allocated when not given; none
+    may overlap ``chi`` or another. Only a few per-row vectors are
+    allocated per call once all three are given.
     """
     grad = te_gradient(chi, base, w, alpha, load, totals, out=grad,
                        x=scratch)
     grad *= eta2
     grad += chi
-    return project_rows_np(grad, q, out=out, srt=scratch)
+    return project_rows_np(grad, q, out=out)

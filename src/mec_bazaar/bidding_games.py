@@ -22,6 +22,7 @@ loop, the step schedule, the stopping rule and the trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,15 @@ def project_simplex(v: np.ndarray, total) -> np.ndarray:
 # Orchestration
 # --------------------------------------------------------------------------
 
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of the matrix ``a``; ``inf`` when its squares
+    overflow. Summed by ``einsum`` rather than BLAS, so the stopping
+    norms, and with them the bundle, do not depend on the BLAS thread
+    count."""
+    with np.errstate(over="ignore"):
+        return math.sqrt(np.einsum("ij,ij->", a, a))
+
+
 def _supplier_step(lam: np.ndarray, load: np.ndarray, a2: np.ndarray,
                    a1: np.ndarray, eta1: float, cfg: SolverConfig,
                    iteration: int):
@@ -112,9 +122,8 @@ def _supplier_step(lam: np.ndarray, load: np.ndarray, a2: np.ndarray,
             f"bids {what} at slot {bad}, iteration {iteration}",
             slot=bad, iteration=iteration)
     step = new - lam
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(step))
-    if not np.isfinite(norm):
+    norm = _frobenius(step)
+    if not math.isfinite(norm):
         slot = int(np.argmax(np.abs(step).max(axis=0)))
         raise DegenerateMarketError(
             f"bid step overflowed at slot {slot}, iteration {iteration}",
@@ -126,7 +135,7 @@ def _threshold(cfg: SolverConfig, current: np.ndarray) -> float:
     """Stopping bound for one game's step: epsilon, scaled by the norm of
     the freshly updated matrix when ``relative_stopping`` is set."""
     if cfg.relative_stopping:
-        return cfg.epsilon * max(float(np.linalg.norm(current)), 1e-300)
+        return cfg.epsilon * max(_frobenius(current), 1e-300)
     return cfg.epsilon
 
 
@@ -139,18 +148,19 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     A settled demand alone is not enough: the supplier game may still be
     moving toward its fixed point at that load.
 
-    Deterministic for a fixed scenario: the initial demand comes from the
-    scenario's seeded draw and bids start at ``lambda_init``.
+    Deterministic for a fixed scenario, at any BLAS thread count: the
+    initial demand comes from the scenario's seeded draw and bids start
+    at ``lambda_init``.
 
     The customer phase runs in a workspace of four N x T buffers
     allocated once: the current demand, the spare that ``te_phase``
-    writes the new demand into (the two swap every iteration), and
-    ``te_phase``'s ``grad`` and ``scratch``; ``grad`` then holds the
-    demand step whose norm is taken. The current demand starts as a copy,
-    so the scenario's own initial demand is never written. The three
-    buffers besides the final demand are released before the market
-    state and agent economics are computed, which set the run's memory
-    peak.
+    writes the new demand into (the two swap every iteration),
+    ``te_phase``'s ``grad``, which then holds the demand step whose norm
+    is taken, and its ``scratch``, which holds chi + base for the
+    gradient. The current demand starts as a copy, so the scenario's own
+    initial demand is never written. The three buffers besides the final
+    demand are released before the market state and agent economics are
+    computed, which set the run's memory peak.
     """
     scenario.validate()
     cfg = scenario.solver
@@ -185,7 +195,7 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
         chi_new = _kernels.te_phase(chi, base, w, alpha, load, totals, q,
                                     eta2, out=spare, grad=grad,
                                     scratch=scratch)
-        delta = float(np.linalg.norm(np.subtract(chi_new, chi, out=grad)))
+        delta = _frobenius(np.subtract(chi_new, chi, out=grad))
         rec_price.append(price)
         rec_load.append(load)
         rec_delta.append(delta)

@@ -20,9 +20,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 HUGE = 10 ** 400  # an integer too large for a float
 
 
-def cli(*args, cwd=None):
+def cli(*args, cwd=None, env=None):
     return subprocess.run([sys.executable, "-m", "mec_bazaar.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def error_line(out) -> str:
@@ -196,6 +196,24 @@ class TestRun:
                    str(d8), "--threads", "8").returncode == 0
         for name in ("result.json", "trace.csv", "demands.csv", "bids.csv"):
             assert (d1 / name).read_bytes() == (d8 / name).read_bytes()
+
+    def test_blas_thread_invariant_bundles(self, tmp_path):
+        # the stopping norms must not go through a threaded BLAS dot
+        # product, whose summation order follows its thread count
+        path = tmp_path / "s.json"
+        assert cli("gen", "--seed", "1", "-o", str(path)).returncode == 0
+        bundles = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"blas{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            out = cli("run", "--scenario", str(path), "--out-dir",
+                      str(out_dir), env=env)
+            assert out.returncode == 0, out.stderr
+            bundles.append({name: (out_dir / name).read_bytes() for name in
+                            ("result.json", "trace.csv", "demands.csv",
+                             "bids.csv")})
+        for name, data in bundles[0].items():
+            assert data == bundles[1][name], name
 
     def test_manifest_contents(self, small_scenario, tmp_path):
         out_dir = tmp_path / "om"

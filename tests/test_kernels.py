@@ -2,12 +2,15 @@
 
 The customer phase is checked bit for bit against the plain formulas
 below, which are the reference the kernels must reproduce exactly, and
-against itself run in a caller's workspace instead of fresh arrays.
+against itself run in a caller's workspace instead of fresh arrays. The
+projection's uniform-shift rule is also checked against the full
+sort-and-threshold projection, to within the rounding of a row sum.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mec_bazaar import _kernels
@@ -22,7 +25,7 @@ deterministic = settings(derandomize=True, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
 
 
-def project_reference(cand, totals):
+def sort_and_threshold(cand, totals):
     """Sort-and-threshold projection of every row onto {x >= 0, sum x =
     total}: rho is the last k with u_k (k+1) > css_k - total."""
     r, t = cand.shape
@@ -36,6 +39,21 @@ def project_reference(cand, totals):
     out = np.maximum(cand - theta[:, None], 0.0)
     out[~any_true] = 0.0
     return out
+
+
+def shift_path(cand, totals):
+    """Every row shifted by theta = (row sum - total) / T, and the rows
+    whose projection that shift is: a finite theta and no entry < 0."""
+    theta = (cand.sum(axis=1) - totals) / cand.shape[1]
+    shifted = cand - theta[:, None]
+    return shifted, np.isfinite(theta) & (shifted >= 0.0).all(axis=1)
+
+
+def project_reference(cand, totals):
+    """The projection rule: the uniform shift where it leaves no entry
+    below zero, the sort-and-threshold projection elsewhere."""
+    shifted, fast = shift_path(cand, totals)
+    return np.where(fast[:, None], shifted, sort_and_threshold(cand, totals))
 
 
 def gradient_reference(chi, base, w, alpha, load, totals):
@@ -57,20 +75,14 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def shift_path(cand, totals):
-    """Rows whose projection is a uniform shift (the k = T-1 test)."""
-    u = np.sort(cand, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    return u[:, -1] * float(u.shape[1]) > css[:, -1] - totals
-
-
-SHAPES = ("spread", "ties", "all_equal")
+SHAPES = ("spread", "ties", "all_equal", "nan")
 TOTALS = ("unclipped", "clipped", "one_left", "zero")
 
 
 def make_row(rng, shape, total, t):
     """One candidate row of ``shape`` with a total that clips none, some,
-    all but about one, or all of its entries."""
+    all but about one, or all of its entries. A "nan" row is a spread row
+    with one entry replaced by NaN after its total is drawn."""
     scale = rng.uniform(0.1, 1e4)
     if shape == "ties":
         v = rng.integers(-2, 3, size=t) * scale
@@ -86,6 +98,8 @@ def make_row(rng, shape, total, t):
         q = 1e-3 * scale
     else:
         q = 0.0
+    if shape == "nan":
+        v[rng.integers(t)] = np.nan
     return v, max(q, 0.0)
 
 
@@ -109,6 +123,21 @@ class TestProjectRowsParity:
         np.testing.assert_array_equal(out, [[0.0, 0.0]])
 
 
+@pytest.fixture
+def sorted_batches(monkeypatch):
+    """Every batch of rows ``project_rows_np`` hands to the sort, recorded
+    by a spy on ``_project_sorted``."""
+    seen = []
+    full = _kernels._project_sorted
+
+    def spy(c, q):
+        seen.append(c.copy())
+        return full(c, q)
+
+    monkeypatch.setattr(_kernels, "_project_sorted", spy)
+    return seen
+
+
 class TestProjectRowsExact:
     @deterministic
     @given(seed=seeds, t=st.integers(1, 30), kinds=rows)
@@ -127,12 +156,12 @@ class TestProjectRowsExact:
         made = [make_row(rng, "spread", "unclipped", t) for _ in range(5)]
         cand = np.array([v for v, _ in made])
         totals = np.array([q for _, q in made])
-        assert shift_path(cand, totals).all()
-        assert_same_bits(_kernels.project_rows_np(cand, totals),
-                         project_reference(cand, totals))
+        shifted, fast = shift_path(cand, totals)
+        assert fast.all()
+        assert_same_bits(_kernels.project_rows_np(cand, totals), shifted)
 
-    def test_mixed_batch_sends_only_failing_rows_to_the_sort(self,
-                                                             monkeypatch):
+    def test_mixed_batch_sends_only_failing_rows_to_the_sort(
+            self, sorted_batches):
         rng = np.random.default_rng(4)
         kinds = [("spread", "unclipped"), ("spread", "clipped"),
                  ("ties", "unclipped"), ("spread", "zero"),
@@ -140,20 +169,19 @@ class TestProjectRowsExact:
         made = [make_row(rng, shape, total, 12) for shape, total in kinds]
         cand = np.array([v for v, _ in made])
         totals = np.array([q for _, q in made])
-        fast = shift_path(cand, totals)
+        fast = shift_path(cand, totals)[1]
         assert 0 < fast.sum() < len(kinds)
-        seen = []
-        full = _kernels._project_sorted
-
-        def spy(c, srt, q):
-            seen.append(c.copy())
-            return full(c, srt, q)
-
-        monkeypatch.setattr(_kernels, "_project_sorted", spy)
         out = _kernels.project_rows_np(cand, totals)
-        assert len(seen) == 1
-        assert_same_bits(seen[0], cand[~fast])
+        assert len(sorted_batches) == 1
+        assert_same_bits(sorted_batches[0], cand[~fast])
         assert_same_bits(out, project_reference(cand, totals))
+
+    def test_reference_run_never_sorts(self, sorted_batches):
+        # the premise of the fast path: in the reference run (N=1000,
+        # default schedule) the shift leaves every entry of every row >= 0
+        result = run_dtoa(generate_scenario(GenerationParams(seed=1)))
+        assert result.status == "converged"
+        assert [len(batch) for batch in sorted_batches] == []
 
     def test_nan_row_zeroed_like_the_sort(self):
         cand = np.array([[1.0, np.nan, 2.0], [1.0, 2.0, 3.0]])
@@ -161,6 +189,46 @@ class TestProjectRowsExact:
         out = _kernels.project_rows_np(cand, totals)
         assert_same_bits(out, project_reference(cand, totals))
         np.testing.assert_array_equal(out[0], 0.0)
+
+    def test_overflowing_row_sum_goes_to_the_sort(self):
+        # the first row sums to -inf, so theta = -inf shifts every entry
+        # to +inf or NaN; the second sums to +inf
+        cand = np.array([[-1e308, -1e308, 1.0], [1e308, 1e308, 1.0],
+                         [1.0, 2.0, 3.0]])
+        totals = np.array([1.0, 1.0, 30.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast = shift_path(cand, totals)[1]
+            out = _kernels.project_rows_np(cand, totals)
+            want = project_reference(cand, totals)
+        np.testing.assert_array_equal(fast, [False, False, True])
+        assert_same_bits(out, want)
+
+
+class TestProjectRowsRounding:
+    """The shift rule agrees with the full sort-and-threshold projection
+    up to the rounding of a row sum: (T + 1) eps times the row's
+    magnitude, the standard bound on a sum of the T entries and the
+    total."""
+
+    @deterministic
+    @given(seed=seeds, t=st.integers(1, 30))
+    def test_every_kind_within_rounding(self, seed, t):
+        rng = np.random.default_rng(seed)
+        made = [make_row(rng, shape, total, t)
+                for shape in SHAPES for total in TOTALS]
+        cand = np.array([v for v, _ in made])
+        totals = np.array([q for _, q in made])
+        out = _kernels.project_rows_np(cand, totals)
+        nan = np.isnan(cand).any(axis=1)
+        np.testing.assert_array_equal(out[nan], 0.0)
+        cand, totals, out = cand[~nan], totals[~nan], out[~nan]
+        tol = ((t + 1) * np.finfo(float).eps
+               * (np.abs(cand).sum(axis=1) + totals))
+        assert np.all(out >= 0.0)
+        assert np.all(np.abs(out - sort_and_threshold(cand, totals))
+                      <= tol[:, None])
+        assert np.all(np.abs(out.sum(axis=1) - totals) <= tol)
+
 
 def customer_inputs(rng, n, t):
     """Customer-phase inputs with some cells at exactly alpha x = w (the
@@ -222,9 +290,9 @@ class TestWorkspace:
         totals = np.array([q for _, q in made])
         before = cand.copy(), totals.copy()
         want = _kernels.project_rows_np(cand, totals)
-        out, srt = dirty(cand, 2)
+        out, = dirty(cand, 1)
         for _ in range(2):
-            got = _kernels.project_rows_np(cand, totals, out=out, srt=srt)
+            got = _kernels.project_rows_np(cand, totals, out=out)
             assert got is out
             assert_same_bits(got, want)
         assert_same_bits(cand, before[0])
