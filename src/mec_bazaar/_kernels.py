@@ -18,6 +18,15 @@ The projection shifts each row uniformly by its excess over the daily
 total and sorts only the rows where that shift drives an entry below
 zero; its bits are those of the shift, not of a full sort-and-threshold
 pass, with which it agrees to rounding.
+
+The customer gradient takes the utility slope U'(x) = max(w - alpha x, 0)
+only on the "live" pairs, those with fl(alpha * base) <= w
+(``live_pairs``), and gives every other pair the price term alone. This
+is exact: the projection keeps chi >= 0, so x = fl(chi + base) >= base,
+and with alpha > 0, fl(alpha * x) >= fl(alpha * base) > w on a pair that
+is not live, where the max is therefore exactly 0.0. Every market
+``generate_scenario`` makes has no live pair, so there the gradient is
+the price term alone.
 """
 
 from __future__ import annotations
@@ -41,7 +50,6 @@ def project_rows_np(cand: np.ndarray, totals: np.ndarray, *,
     must not overlap ``cand``.
     """
     r, t = cand.shape
-    totals = np.broadcast_to(totals, (r,))
     theta = cand.sum(axis=1)
     theta -= totals
     theta /= float(t)
@@ -50,6 +58,7 @@ def project_rows_np(cand: np.ndarray, totals: np.ndarray, *,
     # min propagates NaN, so a NaN entry fails the test as well
     if not (finite.all() and out.min(initial=0.0) >= 0.0):
         slow = ~(finite & (out >= 0.0).all(axis=1))
+        totals = np.broadcast_to(totals, (r,))
         out[slow] = _project_sorted(cand[slow], totals[slow])
     return out
 
@@ -73,7 +82,7 @@ def _project_sorted(cand, totals):
     return out
 
 
-def es_direction(lam, load, a2, a1, delta):
+def es_direction(lam, load, a2, a1, delta, *, price=None):
     """Every supplier's bid-ascent direction at every slot.
 
     price - ((L-f)/(L-2f)) * C'(f) with f the proportional share. On the
@@ -82,14 +91,25 @@ def es_direction(lam, load, a2, a1, delta):
     Once a share reaches (1/2 - delta) of the load the factor blows up,
     so the direction is clamped to -price, pushing the bid back toward
     the stable region. The bids of each slot must not sum to zero.
+
+    ``price`` is the per-slot clearing price load / sum(bids); it is
+    computed when not given.
     """
-    totals = lam.sum(axis=0)
-    price = load / totals
-    f = lam * (load / totals)
+    if price is None:
+        price = load / lam.sum(axis=0)
+    f = lam * price
     guard = f >= (0.5 - delta) * load
-    denom = np.where(guard, 1.0, load - 2.0 * f)
-    marginal = 2.0 * a2[:, None] * f + a1[:, None]
-    return np.where(guard, -price, price - (load - f) / denom * marginal)
+    denom = 2.0 * f
+    np.subtract(load, denom, out=denom)
+    denom[guard] = 1.0
+    marginal = 2.0 * a2[:, None] * f
+    marginal += a1[:, None]
+    out = np.subtract(load, f, out=f)
+    out /= denom
+    out *= marginal
+    np.subtract(price, out, out=out)
+    np.copyto(out, -price, where=guard)
+    return out
 
 
 def es_phase(lam, load, a2, a1, eta1, delta):
@@ -101,28 +121,53 @@ def es_phase(lam, load, a2, a1, eta1, delta):
     are clipped at zero.
     """
     totals = lam.sum(axis=0)
-    if np.any(totals <= 0.0):
+    if (totals <= 0.0).any():
         return lam, totals, totals, int(np.argmax(totals <= 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        new_lam = np.maximum(
-            lam + eta1 * es_direction(lam, load, a2, a1, delta), 0.0)
+        price = load / totals
+        new_lam = es_direction(lam, load, a2, a1, delta, price=price)
+        new_lam *= eta1
+        new_lam += lam
+        np.maximum(new_lam, 0.0, out=new_lam)
         new_totals = new_lam.sum(axis=0)
     bad = ~(np.isfinite(new_totals) & (new_totals > 0.0))
-    if np.any(bad):
-        return new_lam, new_totals, load / totals, int(np.argmax(bad))
-    new_price = load / new_totals
-    return new_lam, new_totals, new_price, -1
+    if bad.any():
+        return new_lam, new_totals, price, int(np.argmax(bad))
+    return new_lam, new_totals, load / new_totals, -1
 
 
-def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None):
+def live_pairs(base, w, alpha, *, scratch=None):
+    """Flat indices of the (customer, slot) pairs whose utility slope base
+    demand alone does not flatten: every pair but those with
+    fl(alpha * base) > w. A NaN product counts as live.
+
+    ``scratch`` receives alpha * base; it is allocated in the broadcast
+    shape of the inputs when not given, and sets the shape the indices
+    refer to.
+    """
+    dead = np.greater(np.multiply(alpha, base, out=scratch), w)
+    return np.flatnonzero(~dead)
+
+
+def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None,
+                live=None):
     """Exact partial derivative of each customer's payoff in its demand.
 
     U'(x) - (L + x) / sum(bids) with x = chi + base, per customer and
     slot; the second term carries the customer's own impact on the
-    clearing price. ``load`` and ``totals`` are per-slot.
+    clearing price. ``load`` and ``totals`` are per-slot; ``base``, ``w``
+    and ``alpha`` have the shape of ``chi``, and chi >= 0 (the feasible
+    set, which the projection keeps).
 
     U'(x) = max(w - alpha x, 0): for finite inputs, fl(w - alpha x) >= 0
     exactly when alpha x <= w, so this has the bits of the piecewise form.
+    It is taken only on the ``live`` pairs (flat indices, from
+    ``live_pairs``; derived from base, w and alpha when not given). Every
+    other pair gets the price term alone, 0.0 - (L + x) / sum(bids), with
+    the same bits: there fl(alpha * base) > w, and as x = fl(chi + base)
+    >= base and alpha > 0, fl(alpha * x) >= fl(alpha * base) > w, so
+    fl(w - alpha x) < 0 and the max is exactly 0.0. A superset of the
+    live pairs gives the same bits.
 
     ``out`` receives the gradient and ``x`` is scratch for chi + base;
     each is allocated in the shape of ``chi`` when not given.
@@ -131,31 +176,41 @@ def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None):
         x = np.empty(np.shape(chi))
     if out is None:
         out = np.empty(np.shape(chi))
+    if live is None:
+        live = live_pairs(base, w, alpha, scratch=x)
     np.add(chi, base, out=x)
-    np.multiply(alpha, x, out=out)
-    np.subtract(w, out, out=out)
-    np.maximum(out, 0.0, out=out)
     x += load
     x /= totals
-    out -= x
+    # 0.0 - p, not -p: at p = 0.0 the full formula gives +0.0
+    np.subtract(0.0, x, out=out)
+    if live.size:
+        up = np.take(chi, live)
+        up += np.take(base, live)
+        up *= np.take(alpha, live)
+        np.subtract(np.take(w, live), up, out=up)
+        np.maximum(up, 0.0, out=up)
+        up -= x.take(live)
+        out.put(live, up)
     return out
 
 
 def te_phase(chi, base, w, alpha, load, totals, q, eta2, *, out=None,
-             grad=None, scratch=None):
+             grad=None, scratch=None, live=None):
     """One simultaneous demand-ascent step for every customer row.
 
     Steps along ``te_gradient``, then projects each row back onto its
-    fixed daily total (Euclidean projection).
+    fixed daily total (Euclidean projection). ``live`` is handed to
+    ``te_gradient``.
 
     The step runs in two N x T buffers besides ``out``, which receives
     the new demand: ``grad`` holds the stepped rows and ``scratch`` holds
     chi + base for the gradient. Each is allocated when not given; none
-    may overlap ``chi`` or another. Only a few per-row vectors are
-    allocated per call once all three are given.
+    may overlap ``chi`` or another. Once all three are given, a call
+    allocates only a few per-row vectors, arrays the length of the live
+    set and, when ``live`` is not given, two boolean N x T masks.
     """
     grad = te_gradient(chi, base, w, alpha, load, totals, out=grad,
-                       x=scratch)
+                       x=scratch, live=live)
     grad *= eta2
     grad += chi
     return project_rows_np(grad, q, out=out)

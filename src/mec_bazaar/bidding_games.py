@@ -161,16 +161,23 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     initial demand is never written. The three buffers besides the final
     demand are released before the market state and agent economics are
     computed, which set the run's memory peak.
+
+    The customer pairs whose utility can still slope up (``live_pairs``)
+    are found once, before the workspace is allocated; the utility slope
+    is taken on those pairs only. Base demand never moves and the
+    projection keeps the demand nonnegative, so every other pair stays
+    flat for the whole run.
     """
     scenario.validate()
     cfg = scenario.solver
+    base = np.ascontiguousarray(scenario.base_demand, dtype=float)
+    w = np.ascontiguousarray(scenario.utility_w, dtype=float)
+    alpha = np.ascontiguousarray(scenario.utility_alpha, dtype=float)
+    live = _kernels.live_pairs(base, w, alpha)
     chi = np.array(scenario.initial_demand, dtype=float, order="C")
     spare = np.empty_like(chi)
     grad = np.empty_like(chi)
     scratch = np.empty_like(chi)
-    base = np.ascontiguousarray(scenario.base_demand, dtype=float)
-    w = np.ascontiguousarray(scenario.utility_w, dtype=float)
-    alpha = np.ascontiguousarray(scenario.utility_alpha, dtype=float)
     q = np.ascontiguousarray(scenario.shiftable_total, dtype=float)
     a2 = np.ascontiguousarray(scenario.cost_coeffs[:, 0], dtype=float)
     a1 = np.ascontiguousarray(scenario.cost_coeffs[:, 1], dtype=float)
@@ -194,7 +201,7 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
             lam, load, a2, a1, eta1, cfg, g)
         chi_new = _kernels.te_phase(chi, base, w, alpha, load, totals, q,
                                     eta2, out=spare, grad=grad,
-                                    scratch=scratch)
+                                    scratch=scratch, live=live)
         delta = _frobenius(np.subtract(chi_new, chi, out=grad))
         rec_price.append(price)
         rec_load.append(load)

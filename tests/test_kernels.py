@@ -1,17 +1,18 @@
 """Tests of the solver's phase kernels: projection and degenerate cases.
 
-The customer phase is checked bit for bit against the plain formulas
-below, which are the reference the kernels must reproduce exactly, and
-against itself run in a caller's workspace instead of fresh arrays. The
-projection's uniform-shift rule is also checked against the full
-sort-and-threshold projection, to within the rounding of a row sum.
+The customer and supplier phases are checked bit for bit against the
+plain formulas below, which are the reference the kernels must reproduce
+exactly, and the customer phase against itself run in a caller's
+workspace instead of fresh arrays. The projection's uniform-shift rule is
+also checked against the full sort-and-threshold projection, to within
+the rounding of a row sum.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mec_bazaar import _kernels
 from mec_bazaar.bidding_games import run_dtoa
@@ -67,6 +68,35 @@ def te_phase_reference(chi, base, w, alpha, load, totals, q, eta2,
     """The step in fresh arrays; the workspace buffers are ignored."""
     grad = gradient_reference(chi, base, w, alpha, load, totals)
     return project_reference(chi + eta2 * grad, q)
+
+
+def es_direction_reference(lam, load, a2, a1, delta):
+    totals = lam.sum(axis=0)
+    price = load / totals
+    f = lam * (load / totals)
+    guard = f >= (0.5 - delta) * load
+    denom = np.where(guard, 1.0, load - 2.0 * f)
+    marginal = 2.0 * a2[:, None] * f + a1[:, None]
+    return np.where(guard, -price, price - (load - f) / denom * marginal)
+
+
+def es_phase_reference(lam, load, a2, a1, eta1, delta):
+    """(new_bids, new_bid_totals, price, bad_slot) in fresh arrays: the
+    price is the refreshed one, or the one before the step when a slot's
+    new bids collapse or overflow; a slot whose bids already sum to zero
+    returns the bids unchanged with their totals in place of a price."""
+    totals = lam.sum(axis=0)
+    if np.any(totals <= 0.0):
+        return lam, totals, totals, int(np.argmax(totals <= 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_lam = np.maximum(
+            lam + eta1 * es_direction_reference(lam, load, a2, a1, delta),
+            0.0)
+        new_totals = new_lam.sum(axis=0)
+    bad = ~(np.isfinite(new_totals) & (new_totals > 0.0))
+    if np.any(bad):
+        return new_lam, new_totals, load / totals, int(np.argmax(bad))
+    return new_lam, new_totals, load / new_totals, -1
 
 
 def assert_same_bits(got, want):
@@ -271,6 +301,74 @@ class TestCustomerPhaseExact:
             assert_same_bits(a, b)
 
 
+LIVENESS = ("dead", "edge", "saturated", "sloped")
+
+
+def mixed_market(rng, n, t, kinds):
+    """Customer-phase inputs whose pairs are each, at random among
+    ``kinds``: dead (alpha base > w), at the edge (alpha base == w
+    exactly), live but flat at the demand (alpha base <= w <= alpha x) or
+    live and sloped (alpha x < w). A fifth of the demands are exactly
+    zero, so some edge pairs sit at alpha x == w too. Returns the inputs
+    and the mask of live pairs."""
+    chi = rng.uniform(0.0, 3.0, size=(n, t))
+    chi[rng.random((n, t)) < 0.2] = 0.0
+    base = rng.uniform(0.1, 3.0, size=(n, t))
+    alpha = rng.uniform(0.1, 0.9, size=(n, t))
+    at_base = alpha * base
+    at_x = alpha * (chi + base)
+    kind = rng.choice(np.array(sorted(kinds)), size=(n, t))
+    w = np.select([kind == "dead", kind == "edge", kind == "saturated"],
+                  [0.5 * at_base, at_base, 0.5 * (at_base + at_x)],
+                  at_x + rng.uniform(0.1, 3.0, size=(n, t)))
+    load = chi.sum(axis=0) + base.sum(axis=0)
+    totals = rng.uniform(1.0, 50.0, size=t)
+    return (chi, base, w, alpha, load, totals), kind != "dead"
+
+
+class TestLivePairs:
+    """The utility slope is taken only on the live pairs; every other
+    pair gets the price term alone, with the bits of the full formula."""
+
+    @deterministic
+    @given(seed=seeds, n=st.integers(1, 20), t=st.integers(1, 12),
+           eta2=st.floats(1e-3, 1e3),
+           kinds=st.sets(st.sampled_from(LIVENESS), min_size=1))
+    @example(seed=1, n=6, t=5, eta2=0.5, kinds={"dead"})
+    @example(seed=2, n=6, t=5, eta2=0.5, kinds={"dead", "edge", "sloped"})
+    @example(seed=3, n=6, t=5, eta2=0.5,
+             kinds={"edge", "saturated", "sloped"})
+    def test_matches_reference(self, seed, n, t, eta2, kinds):
+        rng = np.random.default_rng(seed)
+        args, live_mask = mixed_market(rng, n, t, kinds)
+        chi, base, w, alpha = args[:4]
+        q = chi.sum(axis=1) * rng.uniform(0.0, 1.5, size=n)
+        live = _kernels.live_pairs(base, w, alpha)
+        assert_same_bits(live, np.flatnonzero(live_mask))
+        want_grad = gradient_reference(*args)
+        want_phase = te_phase_reference(*args, q, eta2)
+        # the live set itself, the one derived from base, w and alpha,
+        # and a superset of it give the same bits
+        for given_live in (live, None, np.arange(chi.size)):
+            assert_same_bits(_kernels.te_gradient(*args, live=given_live),
+                             want_grad)
+            assert_same_bits(_kernels.te_phase(*args, q, eta2,
+                                               live=given_live),
+                             want_phase)
+        out, grad, scratch = dirty(chi, 3)
+        assert_same_bits(_kernels.te_phase(*args, q, eta2, out=out,
+                                           grad=grad, scratch=scratch,
+                                           live=live), want_phase)
+
+    def test_reference_market_has_no_live_pairs(self):
+        # generated markets saturate at base demand alone: on seeds 1-5,
+        # at N=1000 and N=10,000, alpha base is at least 4,831 times w
+        s = generate_scenario(GenerationParams(seed=1))
+        live = _kernels.live_pairs(s.base_demand, s.utility_w,
+                                   s.utility_alpha)
+        assert live.size == 0
+
+
 def dirty(like, count):
     """``count`` buffers shaped like ``like``, filled with leftovers."""
     return [np.full_like(like, np.nan) for _ in range(count)]
@@ -342,22 +440,56 @@ class TestWorkspace:
         assert peak < 0.5 * chi.nbytes
 
 
+def live_market():
+    """A small generated market with w raised on some pairs: about a
+    fifth sit exactly at alpha base == w, and about a quarter saturate at
+    base demand plus 0.5 to 1.5 times their initial shiftable demand, so
+    the utility slope pulls their demand during the run."""
+    s = generate_scenario(GenerationParams(
+        num_te=50, num_es=4, num_slots=6, seed=1))
+    rng = np.random.default_rng(0)
+    pick = rng.random(s.utility_w.shape)
+    at_base = s.utility_alpha * s.base_demand
+    above = s.utility_alpha * (
+        s.base_demand
+        + rng.uniform(0.5, 1.5, size=pick.shape) * s.initial_demand)
+    s.utility_w = np.where(pick < 0.2, at_base,
+                           np.where(pick < 0.45, above, s.utility_w))
+    return s
+
+
 class TestBundleBytes:
-    def test_bundle_identical_to_reference_kernels(self, tmp_path,
-                                                   monkeypatch):
-        scenario = generate_scenario(GenerationParams(
-            num_te=50, num_es=4, num_slots=6, seed=1))
+    def assert_same_bundle_as_reference_kernels(self, scenario, tmp_path,
+                                                monkeypatch):
         result = run_dtoa(scenario)
+        assert result.status == "converged"
         assert result.iterations_used > 1
         save_result(str(tmp_path / "kernels"), result, scenario)
         monkeypatch.setattr(_kernels, "project_rows_np", project_reference)
         monkeypatch.setattr(_kernels, "te_gradient", gradient_reference)
         monkeypatch.setattr(_kernels, "te_phase", te_phase_reference)
+        monkeypatch.setattr(_kernels, "es_phase", es_phase_reference)
         save_result(str(tmp_path / "reference"), run_dtoa(scenario),
                     scenario)
         for name in ("result.json", "trace.csv", "demands.csv", "bids.csv"):
             assert ((tmp_path / "kernels" / name).read_bytes()
                     == (tmp_path / "reference" / name).read_bytes()), name
+
+    def test_bundle_identical_to_reference_kernels(self, tmp_path,
+                                                   monkeypatch):
+        scenario = generate_scenario(GenerationParams(
+            num_te=50, num_es=4, num_slots=6, seed=1))
+        self.assert_same_bundle_as_reference_kernels(scenario, tmp_path,
+                                                     monkeypatch)
+
+    def test_live_pairs_bundle_identical_to_reference_kernels(
+            self, tmp_path, monkeypatch):
+        scenario = live_market()
+        live = _kernels.live_pairs(scenario.base_demand, scenario.utility_w,
+                                   scenario.utility_alpha)
+        assert 0 < live.size < scenario.utility_w.size
+        self.assert_same_bundle_as_reference_kernels(scenario, tmp_path,
+                                                     monkeypatch)
 
 
 class TestPhaseParity:
@@ -386,3 +518,56 @@ class TestPhaseParity:
         assert direction[0, 0] == -1.0
         out = _kernels.es_phase(lam, load, a2, np.zeros(3), 1.0, 1e-6)
         assert out[0][0, 0] == 9.0
+
+
+class TestSupplierPhaseExact:
+    """``es_phase`` and ``es_direction`` have the bits of the plain
+    formulas, on every path: an ordinary step, a share at or beyond
+    (1/2 - delta) of the load, a slot whose bids already sum to zero, a
+    step that clips every bid of a slot to zero and a step that
+    overflows."""
+
+    @deterministic
+    @given(seed=seeds, m=st.integers(2, 8), t=st.integers(1, 12),
+           case=st.sampled_from(("plain", "guarded", "collapsed",
+                                 "collapsing", "overflowing")))
+    def test_matches_reference(self, seed, m, t, case):
+        rng = np.random.default_rng(seed)
+        scale = 1.0 if case == "overflowing" else 10.0 ** rng.uniform(0, 4)
+        lam = rng.uniform(0.5, 5.0, size=(m, t)) * scale
+        load = rng.uniform(1e3, 1e4, size=t)
+        if case == "guarded":
+            lam[0] *= 1e3
+        price = load / lam.sum(axis=0)
+        # marginal costs within a few prices and a step of at most a few
+        # tenths of the smallest bid: an ordinary step keeps every bid
+        # positive and finite
+        a1 = rng.uniform(0.0, 1.0, size=m) * price.min()
+        a2 = rng.uniform(0.0, 1.0, size=m) * price.min() / load.max()
+        eta1 = rng.uniform(0.01, 0.1) * 0.5 * scale / price.max()
+        delta = 1e-6
+        if case == "collapsed":
+            lam[:, rng.integers(t)] = 0.0
+        elif case == "collapsing":
+            a2, eta1 = np.full(m, 1e3), 1e12
+        elif case == "overflowing":
+            a2, a1, eta1 = np.full(m, 1e-12), np.zeros(m), 1e308
+        want = es_phase_reference(lam, load, a2, a1, eta1, delta)
+        got = _kernels.es_phase(lam, load, a2, a1, eta1, delta)
+        for g, w in zip(got[:3], want[:3]):
+            assert_same_bits(g, w)
+        assert got[3] == want[3]
+        if case in ("plain", "guarded"):
+            assert want[3] == -1
+        else:
+            assert want[3] >= 0
+            if case == "collapsing":
+                assert want[1][want[3]] == 0.0
+            elif case == "overflowing":
+                assert want[1][want[3]] == np.inf
+        if case != "collapsed":
+            assert_same_bits(_kernels.es_direction(lam, load, a2, a1, delta),
+                             es_direction_reference(lam, load, a2, a1, delta))
+        if case == "guarded":
+            f = lam * price
+            assert (f[0] >= (0.5 - delta) * load).all()
