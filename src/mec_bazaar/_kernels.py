@@ -24,9 +24,10 @@ only on the "live" pairs, those with fl(alpha * base) <= w
 (``live_pairs``), and gives every other pair the price term alone. This
 is exact: the projection keeps chi >= 0, so x = fl(chi + base) >= base,
 and with alpha > 0, fl(alpha * x) >= fl(alpha * base) > w on a pair that
-is not live, where the max is therefore exactly 0.0. Every market
-``generate_scenario`` makes has no live pair, so there the gradient is
-the price term alone.
+is not live, where the max is therefore exactly 0.0. A market
+``generate_scenario`` makes with the default ranges has no live pair
+(alpha * base >= 4830 w), so there the gradient is the price term
+alone.
 """
 
 from __future__ import annotations

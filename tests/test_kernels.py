@@ -361,8 +361,8 @@ class TestLivePairs:
                                            live=live), want_phase)
 
     def test_reference_market_has_no_live_pairs(self):
-        # generated markets saturate at base demand alone: on seeds 1-5,
-        # at N=1000 and N=10,000, alpha base is at least 4,831 times w
+        # with the default ranges (base >= 9660, w <= 1, alpha = 0.5)
+        # alpha base is at least 4,830 times w, so no pair is live
         s = generate_scenario(GenerationParams(seed=1))
         live = _kernels.live_pairs(s.base_demand, s.utility_w,
                                    s.utility_alpha)
