@@ -20,14 +20,14 @@ zero; its bits are those of the shift, not of a full sort-and-threshold
 pass, with which it agrees to rounding.
 
 The customer gradient takes the utility slope U'(x) = max(w - alpha x, 0)
-only on the "live" pairs, those with fl(alpha * base) <= w
-(``live_pairs``), and gives every other pair the price term alone. This
-is exact: the projection keeps chi >= 0, so x = fl(chi + base) >= base,
-and with alpha > 0, fl(alpha * x) >= fl(alpha * base) > w on a pair that
-is not live, where the max is therefore exactly 0.0. A market
+only on a market with some "live" pair, one with fl(alpha * base) <= w
+(``any_live``); on any other market it is the price term alone. This is
+exact: the projection keeps chi >= 0, so x = fl(chi + base) >= base, and
+with alpha > 0, fl(alpha * x) >= fl(alpha * base) > w on a pair that is
+not live, where the max is therefore exactly 0.0. A market
 ``generate_scenario`` makes with the default ranges has no live pair
 (alpha * base >= 4830 w), so there the gradient is the price term
-alone.
+alone; a market with a live pair takes the full formula on every pair.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ def project_rows_np(cand: np.ndarray, totals: np.ndarray, *,
     must not overlap ``cand``.
     """
     r, t = cand.shape
+    totals = np.broadcast_to(totals, (r,))
     theta = cand.sum(axis=1)
     theta -= totals
     theta /= float(t)
@@ -59,7 +60,6 @@ def project_rows_np(cand: np.ndarray, totals: np.ndarray, *,
     # min propagates NaN, so a NaN entry fails the test as well
     if not (finite.all() and out.min(initial=0.0) >= 0.0):
         slow = ~(finite & (out >= 0.0).all(axis=1))
-        totals = np.broadcast_to(totals, (r,))
         out[slow] = _project_sorted(cand[slow], totals[slow])
     return out
 
@@ -137,17 +137,16 @@ def es_phase(lam, load, a2, a1, eta1, delta):
     return new_lam, new_totals, load / new_totals, -1
 
 
-def live_pairs(base, w, alpha, *, scratch=None):
-    """Flat indices of the (customer, slot) pairs whose utility slope base
-    demand alone does not flatten: every pair but those with
-    fl(alpha * base) > w. A NaN product counts as live.
+def any_live(base, w, alpha, *, scratch=None):
+    """Whether some (customer, slot) pair's utility slope is not flattened
+    by base demand alone: False only when fl(alpha * base) > w on every
+    pair. A NaN product counts as live.
 
     ``scratch`` receives alpha * base; it is allocated in the broadcast
-    shape of the inputs when not given, and sets the shape the indices
-    refer to.
+    shape of the inputs when not given.
     """
     dead = np.greater(np.multiply(alpha, base, out=scratch), w)
-    return np.flatnonzero(~dead)
+    return not dead.all()
 
 
 def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None,
@@ -162,13 +161,13 @@ def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None,
 
     U'(x) = max(w - alpha x, 0): for finite inputs, fl(w - alpha x) >= 0
     exactly when alpha x <= w, so this has the bits of the piecewise form.
-    It is taken only on the ``live`` pairs (flat indices, from
-    ``live_pairs``; derived from base, w and alpha when not given). Every
-    other pair gets the price term alone, 0.0 - (L + x) / sum(bids), with
-    the same bits: there fl(alpha * base) > w, and as x = fl(chi + base)
+    It is taken only when ``live`` is true (``any_live``; derived from
+    base, w and alpha when not given). Otherwise every pair gets the
+    price term alone, 0.0 - (L + x) / sum(bids), with the same bits: no
+    pair is live, so fl(alpha * base) > w, and as x = fl(chi + base)
     >= base and alpha > 0, fl(alpha * x) >= fl(alpha * base) > w, so
-    fl(w - alpha x) < 0 and the max is exactly 0.0. A superset of the
-    live pairs gives the same bits.
+    fl(w - alpha x) < 0 and the max is exactly 0.0. ``live=True`` gives
+    the same bits on any market.
 
     ``out`` receives the gradient and ``x`` is scratch for chi + base;
     each is allocated in the shape of ``chi`` when not given.
@@ -178,21 +177,17 @@ def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None,
     if out is None:
         out = np.empty(np.shape(chi))
     if live is None:
-        live = live_pairs(base, w, alpha, scratch=x)
+        live = any_live(base, w, alpha, scratch=x)
     np.add(chi, base, out=x)
+    # 0.0 - p, not -p: at p = 0.0 the full formula gives +0.0
+    slope = 0.0
+    if live:
+        slope = np.multiply(alpha, x, out=out)
+        np.subtract(w, slope, out=slope)
+        np.maximum(slope, 0.0, out=slope)
     x += load
     x /= totals
-    # 0.0 - p, not -p: at p = 0.0 the full formula gives +0.0
-    np.subtract(0.0, x, out=out)
-    if live.size:
-        up = np.take(chi, live)
-        up += np.take(base, live)
-        up *= np.take(alpha, live)
-        np.subtract(np.take(w, live), up, out=up)
-        np.maximum(up, 0.0, out=up)
-        up -= x.take(live)
-        out.put(live, up)
-    return out
+    return np.subtract(slope, x, out=out)
 
 
 def te_phase(chi, base, w, alpha, load, totals, q, eta2, *, out=None,
@@ -207,8 +202,8 @@ def te_phase(chi, base, w, alpha, load, totals, q, eta2, *, out=None,
     the new demand: ``grad`` holds the stepped rows and ``scratch`` holds
     chi + base for the gradient. Each is allocated when not given; none
     may overlap ``chi`` or another. Once all three are given, a call
-    allocates only a few per-row vectors, arrays the length of the live
-    set and, when ``live`` is not given, two boolean N x T masks.
+    allocates only a few per-row vectors and, when ``live`` is not given,
+    one boolean N x T mask.
     """
     grad = te_gradient(chi, base, w, alpha, load, totals, out=grad,
                        x=scratch, live=live)

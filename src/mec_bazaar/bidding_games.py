@@ -162,18 +162,18 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     demand are released before the market state and agent economics are
     computed, which set the run's memory peak.
 
-    The customer pairs whose utility can still slope up (``live_pairs``)
-    are found once, before the workspace is allocated; the utility slope
-    is taken on those pairs only. Base demand never moves and the
-    projection keeps the demand nonnegative, so every other pair stays
-    flat for the whole run.
+    Whether any customer pair's utility can still slope up (``any_live``)
+    is found once, before the workspace is allocated; on a market with
+    no such pair the customer gradient is the price term alone. Base
+    demand never moves and the projection keeps the demand nonnegative,
+    so such a market stays flat for the whole run.
     """
     scenario.validate()
     cfg = scenario.solver
     base = np.ascontiguousarray(scenario.base_demand, dtype=float)
     w = np.ascontiguousarray(scenario.utility_w, dtype=float)
     alpha = np.ascontiguousarray(scenario.utility_alpha, dtype=float)
-    live = _kernels.live_pairs(base, w, alpha)
+    live = _kernels.any_live(base, w, alpha)
     chi = np.array(scenario.initial_demand, dtype=float, order="C")
     spare = np.empty_like(chi)
     grad = np.empty_like(chi)

@@ -301,16 +301,18 @@ class TestCustomerPhaseExact:
             assert_same_bits(a, b)
 
 
-LIVENESS = ("dead", "edge", "saturated", "sloped")
+LIVENESS = ("dead", "brink", "edge", "saturated", "sloped")
+DEAD = ("dead", "brink")
 
 
 def mixed_market(rng, n, t, kinds):
     """Customer-phase inputs whose pairs are each, at random among
-    ``kinds``: dead (alpha base > w), at the edge (alpha base == w
-    exactly), live but flat at the demand (alpha base <= w <= alpha x) or
-    live and sloped (alpha x < w). A fifth of the demands are exactly
-    zero, so some edge pairs sit at alpha x == w too. Returns the inputs
-    and the mask of live pairs."""
+    ``kinds``: dead (alpha base > w), dead by one ulp (w the float just
+    below alpha base), at the edge (alpha base == w exactly), live but
+    flat at the demand (alpha base <= w <= alpha x) or live and sloped
+    (alpha x < w). A fifth of the demands are exactly zero, so some edge
+    pairs sit at alpha x == w and some brink pairs one ulp above it.
+    Returns the inputs and the mask of live pairs."""
     chi = rng.uniform(0.0, 3.0, size=(n, t))
     chi[rng.random((n, t)) < 0.2] = 0.0
     base = rng.uniform(0.1, 3.0, size=(n, t))
@@ -318,23 +320,27 @@ def mixed_market(rng, n, t, kinds):
     at_base = alpha * base
     at_x = alpha * (chi + base)
     kind = rng.choice(np.array(sorted(kinds)), size=(n, t))
-    w = np.select([kind == "dead", kind == "edge", kind == "saturated"],
-                  [0.5 * at_base, at_base, 0.5 * (at_base + at_x)],
+    w = np.select([kind == "dead", kind == "brink", kind == "edge",
+                   kind == "saturated"],
+                  [0.5 * at_base, np.nextafter(at_base, 0.0), at_base,
+                   0.5 * (at_base + at_x)],
                   at_x + rng.uniform(0.1, 3.0, size=(n, t)))
     load = chi.sum(axis=0) + base.sum(axis=0)
     totals = rng.uniform(1.0, 50.0, size=t)
-    return (chi, base, w, alpha, load, totals), kind != "dead"
+    return (chi, base, w, alpha, load, totals), ~np.isin(kind, DEAD)
 
 
 class TestLivePairs:
-    """The utility slope is taken only on the live pairs; every other
-    pair gets the price term alone, with the bits of the full formula."""
+    """The utility slope is taken only on a market with a live pair; any
+    other market gets the price term alone, with the bits of the full
+    formula."""
 
     @deterministic
     @given(seed=seeds, n=st.integers(1, 20), t=st.integers(1, 12),
            eta2=st.floats(1e-3, 1e3),
            kinds=st.sets(st.sampled_from(LIVENESS), min_size=1))
     @example(seed=1, n=6, t=5, eta2=0.5, kinds={"dead"})
+    @example(seed=4, n=6, t=5, eta2=0.5, kinds={"dead", "brink"})
     @example(seed=2, n=6, t=5, eta2=0.5, kinds={"dead", "edge", "sloped"})
     @example(seed=3, n=6, t=5, eta2=0.5,
              kinds={"edge", "saturated", "sloped"})
@@ -343,13 +349,13 @@ class TestLivePairs:
         args, live_mask = mixed_market(rng, n, t, kinds)
         chi, base, w, alpha = args[:4]
         q = chi.sum(axis=1) * rng.uniform(0.0, 1.5, size=n)
-        live = _kernels.live_pairs(base, w, alpha)
-        assert_same_bits(live, np.flatnonzero(live_mask))
+        live = _kernels.any_live(base, w, alpha)
+        assert live == live_mask.any()
         want_grad = gradient_reference(*args)
         want_phase = te_phase_reference(*args, q, eta2)
-        # the live set itself, the one derived from base, w and alpha,
-        # and a superset of it give the same bits
-        for given_live in (live, None, np.arange(chi.size)):
+        # the flag itself, the one derived from base, w and alpha, and
+        # the full formula on any market give the same bits
+        for given_live in (live, None, True):
             assert_same_bits(_kernels.te_gradient(*args, live=given_live),
                              want_grad)
             assert_same_bits(_kernels.te_phase(*args, q, eta2,
@@ -364,9 +370,8 @@ class TestLivePairs:
         # with the default ranges (base >= 9660, w <= 1, alpha = 0.5)
         # alpha base is at least 4,830 times w, so no pair is live
         s = generate_scenario(GenerationParams(seed=1))
-        live = _kernels.live_pairs(s.base_demand, s.utility_w,
-                                   s.utility_alpha)
-        assert live.size == 0
+        assert not _kernels.any_live(s.base_demand, s.utility_w,
+                                     s.utility_alpha)
 
 
 def dirty(like, count):
@@ -422,22 +427,34 @@ class TestWorkspace:
 
     def test_phase_allocates_no_matrix(self):
         # N=2000, T=24: with a workspace one step allocates only per-row
-        # vectors, a small fraction of one N x T buffer
+        # vectors, a small fraction of one N x T buffer. This holds with
+        # the flag run_dtoa passes, on a generated market (no live pair)
+        # and on one with w raised on a tenth of its pairs, and with the
+        # flag derived on each call.
         s = generate_scenario(GenerationParams(num_te=2000, seed=1))
         chi = s.initial_demand
-        args = (chi, s.base_demand, s.utility_w, s.utility_alpha,
-                (chi + s.base_demand).sum(axis=0),
-                np.full(chi.shape[1], s.num_es * s.solver.lambda_init),
-                s.shiftable_total, s.solver.eta2_init)
-        out, grad, scratch = dirty(chi, 3)
-        _kernels.te_phase(*args, out=out, grad=grad, scratch=scratch)
-        tracemalloc.start()
-        try:
-            _kernels.te_phase(*args, out=out, grad=grad, scratch=scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * chi.nbytes
+        raised = np.where(np.random.default_rng(0).random(chi.shape) < 0.1,
+                          s.utility_alpha * (s.base_demand + chi),
+                          s.utility_w)
+        for w in (s.utility_w, raised):
+            args = (chi, s.base_demand, w, s.utility_alpha,
+                    (chi + s.base_demand).sum(axis=0),
+                    np.full(chi.shape[1], s.num_es * s.solver.lambda_init),
+                    s.shiftable_total, s.solver.eta2_init)
+            live = _kernels.any_live(s.base_demand, w, s.utility_alpha)
+            assert live == (w is raised)
+            for given_live in (live, None):
+                out, grad, scratch = dirty(chi, 3)
+                _kernels.te_phase(*args, out=out, grad=grad,
+                                  scratch=scratch, live=given_live)
+                tracemalloc.start()
+                try:
+                    _kernels.te_phase(*args, out=out, grad=grad,
+                                      scratch=scratch, live=given_live)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 0.5 * chi.nbytes
 
 
 def live_market():
@@ -485,9 +502,9 @@ class TestBundleBytes:
     def test_live_pairs_bundle_identical_to_reference_kernels(
             self, tmp_path, monkeypatch):
         scenario = live_market()
-        live = _kernels.live_pairs(scenario.base_demand, scenario.utility_w,
-                                   scenario.utility_alpha)
-        assert 0 < live.size < scenario.utility_w.size
+        live = (scenario.utility_alpha * scenario.base_demand
+                <= scenario.utility_w)
+        assert 0 < live.sum() < live.size
         self.assert_same_bundle_as_reference_kernels(scenario, tmp_path,
                                                      monkeypatch)
 
