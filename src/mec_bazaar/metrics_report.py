@@ -12,12 +12,12 @@ and the per-figure CSV tables drawn from its lists.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._writers import write_indented_json, write_table
 from .bidding_games import EquilibriumResult, supplier_fixed_point
 from .errors import DomainError
 from .market_model import (
@@ -27,7 +27,6 @@ from .market_model import (
     compute_agent_economics,
     compute_market_state,
 )
-from .scenario_io import _write_csv
 
 __all__ = [
     "par",
@@ -118,10 +117,10 @@ def build_report(scenario: Scenario, baseline: BaselineResult,
 
 # file, header, and the stem of the report keys "<stem>_before/_after"
 _FIGURES = (
-    ("fig_demand", ["slot", "load_before", "load_after"], "load"),
-    ("fig_payout", ["te_id", "payout_before", "payout_after"], "te_payout"),
-    ("fig_payoff", ["te_id", "payoff_before", "payoff_after"], "te_payoff"),
-    ("fig_profit", ["es_id", "profit_before", "profit_after"], "es_profit"),
+    ("fig_demand", "slot,load_before,load_after", "load"),
+    ("fig_payout", "te_id,payout_before,payout_after", "te_payout"),
+    ("fig_payoff", "te_id,payoff_before,payoff_after", "te_payoff"),
+    ("fig_profit", "es_id,profit_before,profit_after", "es_profit"),
 )
 
 
@@ -130,15 +129,12 @@ def emit(doc: dict, out_dir: str) -> dict:
     per-figure CSV tables; return the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {"report": os.path.join(out_dir, "report.json")}
-    with open(paths["report"], "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_indented_json(paths["report"], doc)
     for name, header, stem in _FIGURES:
+        before, after = doc[stem + "_before"], doc[stem + "_after"]
         paths[name] = os.path.join(out_dir, name + ".csv")
-        _write_csv(paths[name], header, (
-            (i, b, a) for i, (b, a) in enumerate(zip(
-                doc[stem + "_before"], doc[stem + "_after"]))))
+        write_table(paths[name], header, [range(len(before)), before, after])
     paths["fig_par"] = os.path.join(out_dir, "fig_par.csv")
-    _write_csv(paths["fig_par"], ["num_te", "par_before", "par_after"],
-               [(doc["num_te"], doc["par_before"], doc["par_after"])])
+    write_table(paths["fig_par"], "num_te,par_before,par_after",
+                [[doc["num_te"]], [doc["par_before"]], [doc["par_after"]]])
     return paths

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._writers import write_grid, write_indented_json
 from .errors import (
     DimensionError,
     DomainError,
@@ -459,15 +460,6 @@ def _guess_field(exc: Exception) -> str | None:
 # Result bundles
 # --------------------------------------------------------------------------
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                repr(v) if isinstance(v, float) else str(v)
-                for v in row) + "\n")
-
-
 def save_result(out_dir: str, result, scenario: Scenario) -> dict:
     """Persist a solver result bundle under ``out_dir``.
 
@@ -478,19 +470,19 @@ def save_result(out_dir: str, result, scenario: Scenario) -> dict:
     """
     os.makedirs(out_dir, exist_ok=True)
     econ = result.economics
+    trace = result.trace
     summary = {
         "status": result.status,
         "iterations": result.iterations_used,
-        "final_delta": (float(result.trace.delta[-1])
-                        if result.trace.delta.size else None),
+        "final_delta": float(trace.delta[-1]) if trace.delta.size else None,
         "epsilon": scenario.solver.epsilon,
         "seed": scenario.seed,
-        "load": result.state.load.tolist(),
-        "price": result.state.price.tolist(),
-        "es_daily_profit": econ.es_profit.sum(axis=1).tolist(),
-        "es_daily_revenue": econ.es_revenue.sum(axis=1).tolist(),
-        "te_daily_payout": econ.te_payout.sum(axis=1).tolist(),
-        "te_payoff": econ.te_payoff.tolist(),
+        "load": result.state.load,
+        "price": result.state.price,
+        "es_daily_profit": econ.es_profit.sum(axis=1),
+        "es_daily_revenue": econ.es_revenue.sum(axis=1),
+        "te_daily_payout": econ.te_payout.sum(axis=1),
+        "te_payoff": econ.te_payoff,
     }
     paths = {
         "result": os.path.join(out_dir, "result.json"),
@@ -498,32 +490,14 @@ def save_result(out_dir: str, result, scenario: Scenario) -> dict:
         "demands": os.path.join(out_dir, "demands.csv"),
         "bids": os.path.join(out_dir, "bids.csv"),
     }
-    with open(paths["result"], "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
-
-    trace = result.trace
-    slots = range(scenario.num_slots)
-    _write_csv(
-        paths["trace"],
-        ["iteration", "slot", "price", "load", "frobenius_delta", "eta1",
-         "eta2"],
-        ((k + 1, t, float(trace.price[k, t]),
-          float(trace.load[k, t]), float(trace.delta[k]),
-          float(trace.eta1[k]), float(trace.eta2[k]))
-         for k in range(trace.delta.size) for t in slots))
-    with open(paths["demands"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("te_id,slot,chi_before,chi_after\n")
-        fh.writelines(
-            f"{i},{t},{b!r},{a!r}\n"
-            for i, (before, after) in enumerate(zip(
-                scenario.initial_demand, result.demand))
-            for t, (b, a) in enumerate(zip(before.tolist(), after.tolist())))
-    _write_csv(
-        paths["bids"],
-        ["es_id", "slot", "lambda_final"],
-        ((j, t, float(result.bids[j, t]))
-         for j in range(scenario.num_es) for t in slots))
+    write_indented_json(paths["result"], summary)
+    write_grid(paths["trace"],
+               "iteration,slot,price,load,frobenius_delta,eta1,eta2",
+               [trace.price, trace.load],
+               per_row=[trace.delta, trace.eta1, trace.eta2], first=1)
+    write_grid(paths["demands"], "te_id,slot,chi_before,chi_after",
+               [scenario.initial_demand, result.demand])
+    write_grid(paths["bids"], "es_id,slot,lambda_final", [result.bids])
     return paths
 
 

@@ -1,11 +1,12 @@
 """Unit tests for the game updates and the solver orchestration."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import traced_peak
 
 from mec_bazaar._kernels import es_direction, es_phase, te_gradient, te_phase
 from mec_bazaar.bidding_games import (
@@ -404,13 +405,7 @@ class TestRunDtoa:
         # N=2000, T=24: the customer phase's workspace is released before
         # the market state and economics, which set the run's peak
         s = generate_scenario(GenerationParams(num_te=2000, seed=1))
-        tracemalloc.start()
-        try:
-            run_dtoa(s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8.5 * s.initial_demand.nbytes
+        assert traced_peak(run_dtoa, s) <= 8.5 * s.initial_demand.nbytes
 
     def test_lemma1_region_at_convergence(self):
         s = generate_scenario(GenerationParams(

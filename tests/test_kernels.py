@@ -8,11 +8,11 @@ also checked against the full sort-and-threshold projection, to within
 the rounding of a row sum.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+
+from conftest import traced_peak
 
 from mec_bazaar import _kernels
 from mec_bazaar.bidding_games import run_dtoa
@@ -447,13 +447,9 @@ class TestWorkspace:
                 out, grad, scratch = dirty(chi, 3)
                 _kernels.te_phase(*args, out=out, grad=grad,
                                   scratch=scratch, live=given_live)
-                tracemalloc.start()
-                try:
-                    _kernels.te_phase(*args, out=out, grad=grad,
-                                      scratch=scratch, live=given_live)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                peak = traced_peak(_kernels.te_phase, *args, out=out,
+                                   grad=grad, scratch=scratch,
+                                   live=given_live)
                 assert peak < 0.5 * chi.nbytes
 
 

@@ -1,7 +1,6 @@
 """Unit tests for generation determinism and file round trips."""
 
 import dataclasses
-import gc
 import hashlib
 import io
 import json
@@ -9,12 +8,13 @@ import os
 import shutil
 import stat
 import tempfile
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import traced_peak
 
 from mec_bazaar import scenario_io
 from mec_bazaar.errors import ScenarioFormatError, SchemaVersionError, DomainError
@@ -611,16 +611,6 @@ class TestCompanion:
 # Memory: one table at a time
 # --------------------------------------------------------------------------
 
-def _traced_peak(fn, *args) -> int:
-    gc.collect()
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _json_load(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -641,23 +631,23 @@ class TestMemory:
     def test_save_peak_below_quarter_of_file(self, scenario_file, tmp_path):
         path, params = scenario_file
         scenario = load_scenario(path)
-        peak = _traced_peak(save_scenario, tmp_path / "copy.json", scenario,
-                            params)
+        peak = traced_peak(save_scenario, tmp_path / "copy.json", scenario,
+                           params)
         assert (tmp_path / "copy.json").read_bytes() == path.read_bytes()
         assert peak < os.path.getsize(path) / 4
 
     def test_load_peak_three_quarters_of_json_load(self, scenario_file):
         path, _ = scenario_file
-        assert _traced_peak(load_scenario, path) <= \
-            0.75 * _traced_peak(_json_load, path)
+        assert traced_peak(load_scenario, path) <= \
+            0.75 * traced_peak(_json_load, path)
 
     def test_companion_load_peak_quarter_of_json_load(self, scenario_file,
                                                       tmp_path):
         path, params = scenario_file
         warm = tmp_path / "warm.json"
         save_scenario(warm, load_scenario(path), params)
-        assert _traced_peak(load_scenario, warm) <= \
-            0.25 * _traced_peak(_json_load, warm)
+        assert traced_peak(load_scenario, warm) <= \
+            0.25 * traced_peak(_json_load, warm)
 
 
 class TestResultBundle:
