@@ -1,11 +1,11 @@
-"""Writers of the run's text outputs: indented JSON and CSV tables.
+"""Writers of the program's text outputs: JSON documents and CSV tables.
 
-Each output is laid out as text a block of about a thousand lines at a
-time: the block's floats are spelled by ``repr`` (or by json's C encoder,
-which spells them alike), its strings are joined once and written with
-one write, so what a writer holds does not grow with the market.
-``scenario_io.save_result`` writes the result bundle with them and
-``metrics_report.emit`` the report and its figure tables.
+Each output is laid out as text a block of about a thousand lines or
+values at a time: the block's floats are spelled by ``repr`` (or by
+json's C encoder, which spells them alike), its strings are joined once
+and written with one write, so what a writer holds does not grow with
+the market. ``scenario_io`` writes scenario files and the result bundle
+with them, and ``metrics_report.emit`` the report and its figures.
 """
 
 from __future__ import annotations
@@ -14,17 +14,18 @@ import json
 
 import numpy as np
 
-__all__ = ["write_indented_json", "write_table", "write_grid"]
+__all__ = ["write_json", "write_indented_json", "write_table", "write_grid"]
 
-# At most about this many lines (or list elements) of an output are laid
-# out as text at once: enough that one join and one write carry each
-# block, few enough that a block's strings stay far below the arrays.
+# At most about this many lines (or list elements, or table values) of an
+# output are laid out as text at once: enough that one join and one write
+# carry each block, few enough that its strings stay far below the arrays.
 _BLOCK_LINES = 1000
 
 # A list whose elements all have one of these types is written through
 # the C encoder, one element a line at the indent of a top-level value.
 _SCALARS = frozenset({float, int, bool, str, type(None)})
 _ELEMENTS = json.JSONEncoder(separators=(",\n  ", ": ")).encode
+_ENCODE = json.JSONEncoder().encode
 
 
 def _open_text(path):
@@ -32,8 +33,29 @@ def _open_text(path):
 
 
 def _values(block) -> list:
-    """A block of a list, a range or a 1-D array as Python values."""
+    """A block of a list, a range or an array as Python values."""
     return block.tolist() if isinstance(block, np.ndarray) else block
+
+
+def write_json(fh, doc: dict) -> None:
+    """Write ``doc`` to the text sink ``fh`` with the bytes of
+    ``json.dump(doc, fh)``, an array standing for its ``tolist()``. A list
+    or an array goes through json's C encoder ``_BLOCK_LINES`` elements
+    (or rows of about as many values) at a time, anything else whole."""
+    fh.write("{")
+    for n, (key, value) in enumerate(doc.items()):
+        fh.write(f"{', ' if n else ''}{json.dumps(key)}: ")
+        if not isinstance(value, (list, np.ndarray)):
+            fh.write(json.dumps(value))
+            continue
+        width = value[:1].size if isinstance(value, np.ndarray) else 1
+        step = max(1, _BLOCK_LINES // max(1, width))
+        fh.write("[")
+        for lo in range(0, len(value), step):
+            text = _ENCODE(_values(value[lo:lo + step]))
+            fh.write(f"{', ' if lo else ''}{text[1:-1]}")
+        fh.write("]")
+    fh.write("}")
 
 
 def write_indented_json(path, doc: dict) -> None:

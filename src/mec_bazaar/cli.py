@@ -67,6 +67,7 @@ log = logging.getLogger("mec_bazaar")
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
+_SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF  # seeds count modulo 2**64, as in gen
 
 
 def _setup_logging() -> None:
@@ -298,7 +299,8 @@ def cmd_oracle(args) -> int:
                                             scenario.cost_coeffs)
             probes = verify_supplier_equilibrium(
                 eq, scenario.cost_coeffs, float(loads[t]),
-                n_probes=args.probes, seed=scenario.seed + t)
+                n_probes=args.probes,
+                seed=(scenario.seed + t) & _SEED_MASK)
             entry = {
                 "price": eq.price,
                 "supplies": eq.supplies.tolist(),
@@ -314,7 +316,7 @@ def cmd_oracle(args) -> int:
         return _fail(EXIT_TWO_SUPPLIERS, str(exc))
 
     grad = check_gradients(scenario, n_samples=args.samples,
-                           seed=scenario.seed)
+                           seed=scenario.seed & _SEED_MASK)
     report["gradient_check"] = {
         "max_te_rel_err": grad.max_te_rel_err,
         "max_es_rel_err": grad.max_es_rel_err,

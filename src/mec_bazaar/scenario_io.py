@@ -8,9 +8,10 @@ the contract; the mixer is an implementation detail.
 
 Scenario files are single JSON documents with a ``schema_version`` field.
 Floats are serialized with ``repr`` (shortest round-trip form), so
-load(save(s)) reproduces every number bit-exactly. Both directions handle
-one table at a time: a save turns one row into Python floats at a time,
-and a load turns each table into an array as soon as it is parsed.
+load(save(s)) reproduces every number bit-exactly. Both directions hold
+little beyond the arrays: a save spells a block of about a thousand
+table values at a time (``_writers.write_json``), and a load turns each
+table into an array as soon as it is parsed.
 
 Beside each scenario file, a save also writes a binary companion
 (``<scenario>.cache``): the six tables as float64 ``.npy`` records and
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._writers import write_grid, write_indented_json
+from ._writers import write_grid, write_indented_json, write_json
 from .errors import (
     DimensionError,
     DomainError,
@@ -198,31 +199,6 @@ def _scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def _write_json(fh, doc: dict) -> None:
-    """Write ``doc`` with the bytes of ``json.dump(doc, fh)``.
-
-    ``json.dump`` streams through the pure-Python encoder, and one
-    ``json.dumps`` of the whole document runs the C encoder but holds all
-    of its text in memory. Here each top-level value goes through
-    ``json.dumps`` on its own, lists one element (a table row) at a time.
-    A 2-D array is written as the list of its rows, each row becoming
-    Python floats only while it is written.
-    """
-    fh.write("{")
-    for n, (key, value) in enumerate(doc.items()):
-        fh.write(f"{', ' if n else ''}{json.dumps(key)}: ")
-        if isinstance(value, (list, np.ndarray)):
-            fh.write("[")
-            for k, item in enumerate(value):
-                if isinstance(item, np.ndarray):
-                    item = item.tolist()
-                fh.write(f"{', ' if k else ''}{json.dumps(item)}")
-            fh.write("]")
-        else:
-            fh.write(json.dumps(value))
-    fh.write("}")
-
-
 class _HashingWriter:
     """Text sink that writes UTF-8 to a binary file and hashes exactly
     the bytes it writes."""
@@ -249,7 +225,7 @@ def save_scenario(path, scenario: Scenario,
         doc["generation"] = gen
     with open(path, "wb") as fh:
         out = _HashingWriter(fh)
-        _write_json(out, doc)
+        write_json(out, doc)
         out.write("\n")
     # The companion is only a cache: skip it beside anything but a regular
     # file (a pipe, or a device link such as /dev/stdout), and when it

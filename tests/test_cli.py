@@ -100,6 +100,14 @@ class TestGen:
         r = np.asarray(doc["base_demand"])
         assert r.min() >= 9660.0 and r.max() <= 37065.0
 
+    def test_reference_scenario_bytes_pinned(self, tmp_path):
+        # any change to a byte of the scenario format (a spelling, a
+        # separator, a draw) changes this digest
+        path = tmp_path / "ref.json"
+        assert cli("gen", "--seed", "1", "-o", str(path)).returncode == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ac376e7c077d366c4e457d02b6b3603e1dc24b489b7c9706508291d255404999")
+
     def test_param_overrides(self, tmp_path):
         path = tmp_path / "p.json"
         out = cli("gen", "--seed", "2", "--tes", "5", "--ess", "3",
@@ -529,6 +537,20 @@ class TestOracle:
         assert flagged.returncode == 6
         doc = json.loads((tmp_path / "bad.json").read_text())
         assert doc["best_response"]["worst_relative_gain"] > 1e-3
+
+    @pytest.mark.parametrize("seed, slot", [("-1", None), ("-5", "4")])
+    def test_negative_seed(self, tmp_path, seed, slot):
+        # the oracle's draws take the seed modulo 2**64, as generation does
+        scn = tmp_path / "s.json"
+        assert cli("gen", f"--seed={seed}", "--tes", "10", "--ess", "3",
+                   "--slots", "6", "-o", str(scn)).returncode == 0
+        run = cli("run", "--scenario", str(scn), "--out-dir",
+                  str(tmp_path / "run"))
+        assert run.returncode == 0, run.stderr
+        out = cli("oracle", "--scenario", str(scn), "-o",
+                  str(tmp_path / "r.json"), *(("--slot", slot) if slot else ()))
+        assert out.returncode == 0, out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_negative_probes_rejected(self, small_scenario, tmp_path):
         report_path = tmp_path / "r.json"

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import traced_peak
 
 from mec_bazaar import scenario_io
+from mec_bazaar._writers import write_json
 from mec_bazaar.errors import ScenarioFormatError, SchemaVersionError, DomainError
 from mec_bazaar.market_model import SolverConfig
 from mec_bazaar.scenario_io import (
@@ -25,7 +26,6 @@ from mec_bazaar.scenario_io import (
     load_scenario,
     _loads,
     _TABLES,
-    _write_json,
     save_result,
     save_scenario,
 )
@@ -125,7 +125,7 @@ class TestScenarioRoundTrip:
                "none": None, "flag": True, "big": 1e308, "tiny": 5e-324}
         want, got = io.StringIO(), io.StringIO()
         json.dump(doc, want)
-        _write_json(got, doc)
+        write_json(got, doc)
         assert got.getvalue() == want.getvalue()
 
     def test_writer_matches_json_dump_on_arrays(self):
@@ -136,7 +136,7 @@ class TestScenarioRoundTrip:
         want, got = io.StringIO(), io.StringIO()
         json.dump({k: v.tolist() if isinstance(v, np.ndarray) else v
                    for k, v in doc.items()}, want)
-        _write_json(got, doc)
+        write_json(got, doc)
         assert got.getvalue() == want.getvalue()
 
     def test_negative_a2_names_field(self, tmp_path):

@@ -1,12 +1,14 @@
 """The output writers against the row-at-a-time writers they replaced.
 
 The reference writers below spell one value at a time: ``repr`` for a
-float and ``str`` otherwise in a CSV, and ``json.dump(doc, fh,
-indent=1)`` for a JSON document. The block writers must write the same
-bytes, and hold one block of text at a time.
+float and ``str`` otherwise in a CSV, ``json.dump(doc, fh, indent=1)``
+for an indented JSON document and ``json.dump(doc, fh)`` for a scenario
+file. The block writers must write the same bytes, and hold one block
+of text at a time.
 """
 
 import _pyio
+import io
 import json
 import os
 import tempfile
@@ -20,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import traced_peak
 
 from mec_bazaar import _writers
-from mec_bazaar._writers import write_indented_json, write_table
+from mec_bazaar._writers import write_indented_json, write_json, write_table
 from mec_bazaar.bidding_games import run_dtoa
 from mec_bazaar.market_model import SolverConfig
 from mec_bazaar.metrics_report import build_report, compute_baseline, emit
@@ -255,6 +257,45 @@ class TestBlockWriters:
         assert len(files) == 10
         for name, data in files.items():
             assert b"\r" not in data, name
+
+
+class TestCompactJson:
+    """``write_json`` writes the bytes of ``json.dump`` of the document
+    with each array as its ``tolist()``: a block of rows, or of a 1-D
+    array's elements, per encoder call, whatever the shape."""
+
+    @staticmethod
+    def _check(doc):
+        got = io.StringIO()
+        write_json(got, doc)
+        assert got.getvalue() == json.dumps(
+            {k: v.tolist() if isinstance(v, np.ndarray) else v
+             for k, v in doc.items()})
+
+    @pytest.mark.parametrize("rows, slots", [
+        (_GRID_ROWS - 1, 24), (_GRID_ROWS, 24), (_GRID_ROWS + 1, 24),
+        (3 * _GRID_ROWS - 1, 24), (3, _BLOCK + 1), (2, 2 * _BLOCK),
+        (_BLOCK + 1, 1), (1, 24), (1, 1), (0, 3), (2, 0), (0, 0)])
+    def test_tables(self, rows, slots):
+        rng = np.random.default_rng(rows * 7 + slots)
+        table = _floats(rng, rows, slots)
+        self._check({"schema_version": 1, "table": table,
+                     "rows": table.tolist(), "other": -table,
+                     "solver": {"epsilon": 0.3, "max_iterations": 10}})
+
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK,
+                                      _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_lists_and_1d_arrays(self, size):
+        values = _floats(np.random.default_rng(size), size)
+        self._check({"shiftable_total": values, "list": values.tolist(),
+                     "ints": list(range(size)),
+                     "cost_coeffs": [[1e-5, 0.001, 0.001]] * size,
+                     "mixed": [None, True, "caf\u00e9", 2, 0.1] * size})
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.dictionaries(st.text(max_size=3), _VALUES, max_size=6))
+    def test_matches_json_dump(self, doc):
+        self._check(doc)
 
 
 class TestWriterMemory:
