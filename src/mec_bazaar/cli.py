@@ -13,7 +13,8 @@ part of the contract:
      or a bid step whose norm overflows)
   5  oracle refused a two-supplier market
   6  oracle found a tolerance violation (equilibrium probes,
-     gradient checks, or best-response gains)
+     gradient checks, best-response gains, or bundle demand that
+     misses shiftable_total or goes negative)
 """
 
 from __future__ import annotations
@@ -243,7 +244,6 @@ def cmd_run(args) -> int:
             "scenario_sha256": digest,
             "seed": scenario.seed,
             "overrides": applied,
-            "threads": args.threads,
             "started": started.isoformat(),
             "finished": datetime.now(timezone.utc).isoformat(),
             "runtime_seconds": runtime,
@@ -328,6 +328,12 @@ def cmd_oracle(args) -> int:
         report["passed"] = False
 
     if bids is not None:
+        row_err = market_model.row_sum_error(demand,
+                                             scenario.shiftable_total)
+        report["feasibility"] = {"max_row_sum_error": row_err,
+                                 "min_demand": float(demand.min())}
+        if row_err > market_model.ROW_SUM_TOL or demand.min() < 0:
+            report["passed"] = False
         payoffs = market_model.compute_agent_economics(
             demand, scenario.base_demand, bids, scenario.cost_coeffs,
             scenario.utility_w, scenario.utility_alpha).te_payoff
@@ -356,8 +362,16 @@ def cmd_oracle(args) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as one ``ERROR ...`` line and exits 2; the
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        sys.exit(_fail(EXIT_USAGE, f"{self.prog}: {message}"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mec-bazaar",
         description="edge-compute market simulator: bilateral bidding "
                     "games with an independent equilibrium oracle")
@@ -385,10 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out-dir", required=True)
     run.add_argument("--epsilon", type=float, default=None)
     run.add_argument("--max-iter", type=int, default=None)
-    run.add_argument("--threads", type=int,
-                     default=max(1, os.cpu_count() or 1),
-                     help="accepted and ignored (the solver runs in one "
-                          "thread); recorded in manifest.json")
     run.add_argument("--param", action="append", default=[],
                      metavar="KEY=VALUE",
                      help="override solver fields after load")

@@ -100,6 +100,16 @@ class SolverConfig:
             raise DomainError("singularity_delta must lie in [0, 0.5)")
 
 
+ROW_SUM_TOL = 1e-9  # a feasible demand row's relative miss of its total
+
+
+def row_sum_error(demand: np.ndarray, total: np.ndarray) -> float:
+    """Largest miss of a demand row's sum against its customer's daily
+    total, relative to ``max(|total|, 1)``."""
+    return float((np.abs(demand.sum(axis=1) - total)
+                  / np.maximum(np.abs(total), 1.0)).max())
+
+
 @dataclass
 class Scenario:
     """Immutable description of one market instance.
@@ -162,9 +172,8 @@ class Scenario:
             raise DomainError("shiftable_total must be nonnegative")
         if np.any(self.initial_demand < 0):
             raise DomainError("initial_demand must be nonnegative")
-        row_sums = self.initial_demand.sum(axis=1)
-        scale = np.maximum(np.abs(self.shiftable_total), 1.0)
-        if np.any(np.abs(row_sums - self.shiftable_total) > 1e-9 * scale):
+        if row_sum_error(self.initial_demand,
+                         self.shiftable_total) > ROW_SUM_TOL:
             raise DomainError(
                 "initial_demand row sums must equal shiftable_total")
         # a slot without load has no price and makes PAR undefined

@@ -9,6 +9,7 @@ of that exact configuration; the tests implement the stated tolerances
 verbatim and report honest outcomes.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -298,12 +299,14 @@ def test_criterion_12_determinism(tmp_path):
          "-o", str(scn)], capture_output=True, text=True)
     assert gen.returncode == 0, gen.stderr
     digests = {}
+    # the BLAS thread count is the one that could reorder a sum
     for threads in (1, 8):
         out_dir = tmp_path / f"t{threads}"
         run = subprocess.run(
             [sys.executable, "-m", "mec_bazaar.cli", "run", "--scenario",
-             str(scn), "--out-dir", str(out_dir), "--threads", str(threads)],
-            capture_output=True, text=True)
+             str(scn), "--out-dir", str(out_dir)], capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)})
         assert run.returncode == 0, run.stderr
         digests[threads] = {
             name: (out_dir / name).read_bytes()

@@ -51,6 +51,26 @@ def small_bundle(small_scenario, tmp_path_factory):
     return out_dir
 
 
+@pytest.fixture(scope="module")
+def certified_market(tmp_path_factory):
+    """Criterion 9's market, whose run the oracle certifies."""
+    root = tmp_path_factory.mktemp("certified")
+    scn, run_dir = root / "s.json", root / "run"
+    assert cli("gen", "--seed", "9", "--tes", "5", "--ess", "3",
+               "--slots", "4",
+               "--param", "solver.eta1_init=5",
+               "--param", "solver.eta1_decay=1.0",
+               "--param", "solver.eta2_init=200",
+               "--param", "solver.eta2_decay=1.0",
+               "--param", "solver.epsilon=1e-3",
+               "--param", "solver.lambda_init=200",
+               "--param", "solver.max_iterations=300000",
+               "-o", str(scn)).returncode == 0
+    assert cli("run", "--scenario", str(scn), "--out-dir",
+               str(run_dir)).returncode == 0
+    return scn, run_dir
+
+
 class TestGen:
     def test_deterministic_files(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -196,15 +216,6 @@ class TestRun:
         assert doc["baseline_iterations"] == 5
         assert "WARNING baseline" in out.stderr
 
-    def test_thread_invariant_bundles(self, small_scenario, tmp_path):
-        d1, d8 = tmp_path / "t1", tmp_path / "t8"
-        assert cli("run", "--scenario", str(small_scenario), "--out-dir",
-                   str(d1), "--threads", "1").returncode == 0
-        assert cli("run", "--scenario", str(small_scenario), "--out-dir",
-                   str(d8), "--threads", "8").returncode == 0
-        for name in ("result.json", "trace.csv", "demands.csv", "bids.csv"):
-            assert (d1 / name).read_bytes() == (d8 / name).read_bytes()
-
     def test_blas_thread_invariant_bundles(self, tmp_path):
         # the stopping norms must not go through a threaded BLAS dot
         # product, whose summation order follows its thread count
@@ -235,6 +246,10 @@ class TestRun:
         assert doc["status"] == "converged"
         assert doc["baseline_converged"] is True
         assert 0 < doc["baseline_iterations"] <= 500
+        assert set(doc) == {
+            "tool_version", "scenario_path", "scenario_sha256", "seed",
+            "overrides", "started", "finished", "runtime_seconds", "status",
+            "iterations", "baseline_converged", "baseline_iterations"}
 
     def test_degenerate_market_exit(self, tmp_path):
         # gigantic linear cost drives every bid to zero in one step
@@ -538,6 +553,39 @@ class TestOracle:
         doc = json.loads((tmp_path / "bad.json").read_text())
         assert doc["best_response"]["worst_relative_gain"] > 1e-3
 
+    @pytest.mark.parametrize("edit, code", [
+        ("none", 0), ("zero all", 6), ("halve te 0", 6), ("negative", 6)])
+    def test_infeasible_demand_flagged(self, certified_market, tmp_path,
+                                       edit, code):
+        # the certified bundle passes; one whose rows miss shiftable_total,
+        # or that moves demand below zero keeping its rows, must not
+        scn, run_dir = certified_market
+        lines = (run_dir / "demands.csv").read_text().splitlines()
+        rows = [r.split(",") for r in lines[1:]]
+        chi = np.array([float(r[3]) for r in rows])
+        te0 = np.array([r[0] == "0" for r in rows])
+        if edit == "zero all":
+            chi[:] = 0.0
+        elif edit == "halve te 0":
+            chi[te0] /= 2
+        elif edit == "negative":
+            first, second = np.flatnonzero(te0)[:2]
+            chi[second] += chi[first] + 1.0
+            chi[first] = -1.0
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        (bundle / "demands.csv").write_text("\n".join(
+            [lines[0]] + [",".join(r[:3] + [repr(float(c))])
+                          for r, c in zip(rows, chi)]) + "\n")
+        (bundle / "bids.csv").write_bytes((run_dir / "bids.csv").read_bytes())
+        report_path = tmp_path / "r.json"
+        out = cli("oracle", "--scenario", str(scn), "--result", str(bundle),
+                  "-o", str(report_path))
+        assert out.returncode == code, out.stderr
+        feasibility = json.loads(report_path.read_text())["feasibility"]
+        assert (feasibility["max_row_sum_error"] <= 1e-9
+                and feasibility["min_demand"] >= 0) == (code == 0)
+
     @pytest.mark.parametrize("seed, slot", [("-1", None), ("-5", "4")])
     def test_negative_seed(self, tmp_path, seed, slot):
         # the oracle's draws take the seed modulo 2**64, as generation does
@@ -636,6 +684,21 @@ class TestOracle:
         assert out.returncode == 1
         assert f"{name}, line 2" in out.stderr and "non-finite" in out.stderr
         assert not report_path.exists()
+
+
+@pytest.mark.parametrize("args, named", [
+    # the solver runs one numpy code path: there is no thread count
+    (("run", "--scenario", "s.json", "--out-dir", "o", "--threads", "1"),
+     "--threads"),
+    (("gen", "--seed", "x", "-o", "s.json"), "--seed"),
+    ((), "command"),
+])
+def test_bad_flag_one_error_line(tmp_path, args, named):
+    out = cli(*(str(tmp_path / a) if a in ("s.json", "o") else a
+                for a in args))
+    assert out.returncode == 2
+    assert named in error_line(out)
+    assert not any(tmp_path.iterdir())
 
 
 def readme_cli_flags() -> dict:
