@@ -9,6 +9,18 @@ the loop stops when both games have settled: consecutive demand
 matrices and consecutive bid matrices are each closer than epsilon in
 Frobenius norm.
 
+By default (``eta1_init`` and ``eta2_init`` None) each step is sized
+per slot t from the slot's bid total Lambda_t and load L_t, so that it
+means the same at every market size: the supplier step is
+``C1 * d1**k * Lambda_t**2 / L_t`` (the bid direction is in price units
+and its slope in a bid is of order L_t / Lambda_t**2), the customer
+step ``C2 * d2**k * Lambda_t / (N + 1)`` (the Jacobi step's Jacobian at
+a slot is -(I + 11^T) / Lambda_t, of spectral radius (N + 1) /
+Lambda_t). A gradient step is stable below 2 / Lipschitz, so the
+customer multiplier must stay below 2; on the reference market one of
+0.25 or more already takes more iterations than 0.1. A number in
+``eta*_init`` is an absolute step, taken as given at every slot.
+
 ``run_dtoa`` and ``supplier_fixed_point`` (the supplier game alone at a
 fixed load) take the same supplier step, ``_supplier_step``, with the
 same degenerate-market checks, and stop their bids by the same
@@ -49,6 +61,9 @@ __all__ = [
 STATUS_CONVERGED = "converged"
 STATUS_ITERATION_CAP = "iteration-cap-reached"
 
+C1 = 0.1  # supplier step, in units of Lambda_t**2 / L_t
+C2 = 0.1  # customer step, in units of Lambda_t / (N + 1)
+
 
 @dataclass
 class IterationTrace:
@@ -58,6 +73,8 @@ class IterationTrace:
     distance between consecutive demand matrices and ``bid_delta`` the
     one between consecutive bid matrices; ``price`` and ``load`` are the
     per-slot vectors the customers reacted to in that iteration.
+    ``eta1`` and ``eta2`` are the steps of that iteration, or, for a
+    step sized per slot, its multiplier ``C * d**k``.
     """
 
     price: np.ndarray                      # (G, T)
@@ -107,12 +124,18 @@ def _supplier_step(lam: np.ndarray, load: np.ndarray, a2: np.ndarray,
                    iteration: int):
     """One simultaneous bid step of every supplier at per-slot ``load``.
 
+    ``eta1`` is the step, or, when ``cfg.eta1_init`` is None, the
+    multiplier of the per-slot step ``eta1 * Lambda_t**2 / L_t``.
     Returns (new_bids, totals, price, step_norm), the last being the
     Frobenius norm of the step. Raises :class:`DegenerateMarketError`
     when the bids collapse to zero or overflow at some slot, or when the
     step is too large for a finite norm (reported at the slot with the
     largest move).
     """
+    if cfg.eta1_init is None:
+        bid_totals = lam.sum(axis=0)
+        with np.errstate(over="ignore"):
+            eta1 = eta1 * bid_totals * bid_totals / load
     new, totals, price, bad = _kernels.es_phase(
         lam, load, a2, a1, eta1, cfg.singularity_delta)
     if bad >= 0:
@@ -131,6 +154,23 @@ def _supplier_step(lam: np.ndarray, load: np.ndarray, a2: np.ndarray,
     return new, totals, price, norm
 
 
+def _check_lemma1(bids: np.ndarray, iteration: int) -> None:
+    """Raise :class:`DegenerateMarketError` when a converged bid reaches
+    the sum of its rivals' bids at some slot, so that its supplier would
+    serve half the load or more (Lemma 1's region is every share below
+    half). With two suppliers that region is empty, one share is always
+    half or more, so the check starts at three. A loop that stops at its
+    iteration cap says so instead; its bids may be mid-way there."""
+    if bids.shape[0] < 3:
+        return
+    over = bids >= bids.sum(axis=0) - bids
+    if over.any():
+        es, slot = (int(i) for i in np.argwhere(over)[0])
+        raise DegenerateMarketError(
+            f"supplier {es}'s bid reaches its rivals' sum at slot {slot}, "
+            f"iteration {iteration}", slot=slot, iteration=iteration)
+
+
 def _threshold(cfg: SolverConfig, current: np.ndarray) -> float:
     """Stopping bound for one game's step: epsilon, scaled by the norm of
     the freshly updated matrix when ``relative_stopping`` is set."""
@@ -146,7 +186,9 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     the bid step are both below ``epsilon`` in Frobenius norm (each
     relative to its own matrix's norm when ``relative_stopping`` is set).
     A settled demand alone is not enough: the supplier game may still be
-    moving toward its fixed point at that load.
+    moving toward its fixed point at that load. Converged bids outside
+    Lemma 1's region raise :class:`DegenerateMarketError`
+    (``_check_lemma1``), as do bids that collapse or overflow.
 
     Deterministic for a fixed scenario, at any BLAS thread count: the
     initial demand comes from the scenario's seeded draw and bids start
@@ -184,7 +226,9 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     lam = np.full((scenario.num_es, scenario.num_slots), cfg.lambda_init,
                   dtype=float)
 
-    eta1, eta2 = cfg.eta1_init, cfg.eta2_init
+    eta1 = C1 if cfg.eta1_init is None else cfg.eta1_init
+    eta2 = C2 if cfg.eta2_init is None else cfg.eta2_init
+    customers = scenario.num_te + 1.0
     rec_price: list[np.ndarray] = []
     rec_load: list[np.ndarray] = []
     rec_delta: list[float] = []
@@ -199,8 +243,10 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
         load = chi.sum(axis=0) + base_load
         lam, totals, price, bid_delta = _supplier_step(
             lam, load, a2, a1, eta1, cfg, g)
+        step2 = eta2 if cfg.eta2_init is not None else (
+            eta2 * totals / customers)
         chi_new = _kernels.te_phase(chi, base, w, alpha, load, totals, q,
-                                    eta2, out=spare, grad=grad,
+                                    step2, out=spare, grad=grad,
                                     scratch=scratch, live=live)
         delta = _frobenius(np.subtract(chi_new, chi, out=grad))
         rec_price.append(price)
@@ -227,6 +273,8 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
         eta2=np.array(rec_eta2),
     )
     del spare, grad, scratch
+    if status == STATUS_CONVERGED:
+        _check_lemma1(lam, iterations)
     state = compute_market_state(chi, base, lam)
     econ = compute_agent_economics(chi, base, lam, scenario.cost_coeffs,
                                    w, alpha, state)
@@ -239,10 +287,11 @@ def supplier_fixed_point(loads: np.ndarray, cost_coeffs: np.ndarray,
                          solver: SolverConfig):
     """Run the supplier game alone at fixed per-slot loads.
 
-    The same supplier step, step schedule and bid stopping rule as the
-    full loop, applied to the bid matrix only: stop when consecutive bid
-    matrices are closer than epsilon in Frobenius norm. Returns
-    (bids, iterations_used, converged).
+    The same supplier step, step schedule, bid stopping rule and
+    Lemma-1 check at convergence as the full loop, applied to the bid
+    matrix only: stop when consecutive bid matrices are closer than
+    epsilon in Frobenius norm. Returns (bids, iterations_used,
+    converged).
     """
     solver.validate()
     loads = np.ascontiguousarray(loads, dtype=float)
@@ -250,7 +299,7 @@ def supplier_fixed_point(loads: np.ndarray, cost_coeffs: np.ndarray,
     a1 = np.ascontiguousarray(cost_coeffs[:, 1], dtype=float)
     lam = np.full((cost_coeffs.shape[0], loads.size), solver.lambda_init,
                   dtype=float)
-    eta1 = solver.eta1_init
+    eta1 = C1 if solver.eta1_init is None else solver.eta1_init
     converged = False
     iterations = 0
     for g in range(1, solver.max_iterations + 1):
@@ -261,4 +310,6 @@ def supplier_fixed_point(loads: np.ndarray, cost_coeffs: np.ndarray,
         if delta < _threshold(solver, lam):
             converged = True
             break
+    if converged:
+        _check_lemma1(lam, iterations)
     return lam, iterations, converged

@@ -10,7 +10,8 @@ part of the contract:
   2  bad flags or invalid parameter values
   3  solver hit the iteration cap without converging
   4  degenerate market (all bids zero, or overflowing, at some slot,
-     or a bid step whose norm overflows)
+     a bid step whose norm overflows, or a converged bid that reaches
+     the sum of its rivals' bids)
   5  oracle refused a two-supplier market
   6  oracle found a tolerance violation (equilibrium probes,
      gradient checks, best-response gains, or bundle demand that
@@ -89,6 +90,8 @@ def _parse_value(text: str):
     lowered = text.strip().lower()
     if lowered in ("true", "false"):
         return lowered == "true"
+    if lowered == "null":
+        return None
     try:
         return int(text)
     except ValueError:

@@ -41,7 +41,8 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 _FIELD_KINDS = {"bool": "true or false", "int": "an integer",
-                "float": "a finite number"}
+                "float": "a finite number",
+                "float | None": "a finite number or null"}
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,10 @@ class SolverConfig:
     """Step-size schedule and stopping rule for the bidding games.
 
     ``eta1`` drives supplier bid ascent, ``eta2`` customer demand ascent;
-    both shrink geometrically once per outer iteration. The loop stops as
+    both shrink geometrically once per outer iteration. An ``eta*_init``
+    of None (the default) sizes that step per slot from the slot's own
+    bid total and load (``bidding_games.C1`` and ``C2`` times the decay);
+    a number is an absolute step. The loop stops as
     soon as, in one iteration, the Frobenius distance between consecutive
     demand matrices and the one between consecutive bid matrices both
     fall below ``epsilon`` (each divided by the norm of its current
@@ -57,9 +61,9 @@ class SolverConfig:
     (``supplier_fixed_point``) stops on the bid half of that rule.
     """
 
-    eta1_init: float = 0.05
+    eta1_init: float | None = None
     eta1_decay: float = 0.985
-    eta2_init: float = 0.01
+    eta2_init: float | None = None
     eta2_decay: float = 0.98
     epsilon: float = 0.3
     lambda_init: float = 20000.0
@@ -72,6 +76,8 @@ class SolverConfig:
         # the range checks below.
         for f in fields(self):
             value = getattr(self, f.name)
+            if value is None and f.type == "float | None":
+                continue
             if f.type == "bool":
                 ok = isinstance(value, bool)
             elif isinstance(value, bool):
@@ -86,8 +92,11 @@ class SolverConfig:
             if not ok:
                 raise DomainError(f"solver.{f.name} must be "
                                   f"{_FIELD_KINDS[f.type]}, got {value!r}")
-        if not (self.eta1_init > 0 and self.eta2_init > 0):
-            raise DomainError("step sizes must be positive")
+        for name in ("eta1_init", "eta2_init"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise DomainError(f"solver.{name} must be positive or "
+                                  f"null, got {value!r}")
         if not (0 < self.eta1_decay <= 1 and 0 < self.eta2_decay <= 1):
             raise DomainError("step-size decays must lie in (0, 1]")
         if not self.epsilon > 0:

@@ -10,6 +10,8 @@ from conftest import traced_peak
 
 from mec_bazaar._kernels import es_direction, es_phase, te_gradient, te_phase
 from mec_bazaar.bidding_games import (
+    C1,
+    C2,
     STATUS_CONVERGED,
     project_simplex,
     run_dtoa,
@@ -325,12 +327,17 @@ class TestTeUpdateStep:
 
 class TestRunDtoa:
     def test_degenerate_simplex_converges_immediately(self):
-        # T=1 pins the whole demand row, so the first step cannot move
+        # T=1 pins the whole demand row, so the demand cannot move and
+        # the run stops as soon as the supplier game alone settles at
+        # that load
         s = generate_scenario(GenerationParams(
             num_te=1, num_es=2, num_slots=1, seed=3))
         res = run_dtoa(s)
+        _, iterations, converged = supplier_fixed_point(
+            res.trace.load[-1], s.cost_coeffs, s.solver)
+        assert converged
         assert res.status == STATUS_CONVERGED
-        assert res.iterations_used <= 2
+        assert res.iterations_used == iterations
         assert res.demand[0, 0] == pytest.approx(s.shiftable_total[0])
 
     def test_deterministic_rerun(self):
@@ -367,8 +374,10 @@ class TestRunDtoa:
         s = generate_scenario(GenerationParams(
             num_te=200, num_es=4, num_slots=1, seed=3))
         res = run_dtoa(s)
+        # the bid step is sized from the load, so take the load the loop
+        # itself stepped at
         bids, iterations, converged = supplier_fixed_point(
-            res.state.load, s.cost_coeffs, s.solver)
+            res.trace.load[-1], s.cost_coeffs, s.solver)
         assert converged
         assert res.status == STATUS_CONVERGED
         assert res.iterations_used == iterations
@@ -443,6 +452,23 @@ class TestSupplierStep:
         assert err.value.slot == (0 if case == "collapse" else 3)
         assert err.value.iteration == 1
 
+    @pytest.mark.parametrize("entry", ["run_dtoa", "supplier_fixed_point"])
+    def test_bid_past_rivals_sum(self, entry):
+        # a huge but finite step: supplier 1 ends up holding every bid,
+        # and the loop settles there
+        s = generate_scenario(GenerationParams(
+            num_te=20, num_es=3, num_slots=4, seed=1))
+        s.solver = SolverConfig(eta1_init=1e150)
+        with pytest.raises(DegenerateMarketError) as err:
+            if entry == "run_dtoa":
+                run_dtoa(s)
+            else:
+                loads = (s.initial_demand + s.base_demand).sum(axis=0)
+                supplier_fixed_point(loads, s.cost_coeffs, s.solver)
+        assert str(err.value).startswith(
+            "supplier 1's bid reaches its rivals' sum at slot 0, iteration ")
+        assert err.value.slot == 0
+
 
 class TestSupplierFixedPoint:
     def test_matches_oracle_price(self):
@@ -462,3 +488,44 @@ class TestSupplierFixedPoint:
             price = load / bids[:, t].sum()
             eq = solve_supplier_equilibrium(float(load), coeffs)
             assert price == pytest.approx(eq.price, rel=1e-6)
+
+
+class TestScaleFreeSteps:
+    """The default steps are sized per slot from its bid total and load."""
+
+    def test_reference_run_reaches_equilibrium(self):
+        from mec_bazaar.equilibrium_oracle import (
+            best_response,
+            solve_supplier_equilibrium,
+        )
+        s = generate_scenario(GenerationParams(seed=1))
+        res = run_dtoa(s)
+        assert res.status == STATUS_CONVERGED
+        for t, load in enumerate(res.state.load):
+            eq = solve_supplier_equilibrium(float(load), s.cost_coeffs)
+            assert res.state.price[t] == pytest.approx(eq.price, rel=1e-3)
+        _, gains = best_response(res.demand, s.base_demand, res.bids,
+                                 s.utility_w, s.utility_alpha)
+        assert np.all(gains < 1e-3 * np.abs(res.economics.te_payoff))
+
+    def test_supplier_iterations_independent_of_size(self):
+        counts = []
+        for n in (1000, 10_000):
+            s = generate_scenario(GenerationParams(seed=1, num_te=n))
+            loads = (s.initial_demand + s.base_demand).sum(axis=0)
+            _, iterations, converged = supplier_fixed_point(
+                loads, s.cost_coeffs, s.solver)
+            assert converged
+            counts.append(iterations)
+        assert abs(counts[0] - counts[1]) <= 0.1 * counts[0]
+
+    def test_trace_records_multipliers(self):
+        s = generate_scenario(GenerationParams(
+            num_te=30, num_es=3, num_slots=6, seed=16))
+        res = run_dtoa(s)
+        eta1, eta2 = [C1], [C2]
+        for _ in range(res.iterations_used - 1):
+            eta1.append(eta1[-1] * s.solver.eta1_decay)
+            eta2.append(eta2[-1] * s.solver.eta2_decay)
+        np.testing.assert_array_equal(res.trace.eta1, eta1)
+        np.testing.assert_array_equal(res.trace.eta2, eta2)

@@ -126,7 +126,7 @@ class TestGen:
         path = tmp_path / "ref.json"
         assert cli("gen", "--seed", "1", "-o", str(path)).returncode == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "ac376e7c077d366c4e457d02b6b3603e1dc24b489b7c9706508291d255404999")
+            "22dd241f1b3e5e84a58253d6abb245bce60efbf5a049d957fb1f183209c78028")
 
     def test_param_overrides(self, tmp_path):
         path = tmp_path / "p.json"
@@ -320,12 +320,17 @@ class TestRun:
     @pytest.mark.parametrize("param", ["solver.epsilon=abc",
                                        "solver.max_iterations=2.5",
                                        "solver.epsilon=true",
-                                       "solver.lambda_init=nan"])
+                                       "solver.lambda_init=nan",
+                                       "solver.eta1_init=abc",
+                                       "solver.eta2_init=true",
+                                       "solver.eta1_init=nan",
+                                       "solver.eta2_init=0",
+                                       "solver.eta1_init=-0.05"])
     def test_mistyped_override(self, small_scenario, tmp_path, param):
         out = cli("run", "--scenario", str(small_scenario), "--out-dir",
                   str(tmp_path / "o"), "--param", param)
         assert out.returncode == 2
-        assert param.split("=")[0] in out.stderr
+        assert param.split("=")[0] in error_line(out)
         assert "Traceback" not in out.stderr
         assert not (tmp_path / "o" / "result.json").exists()
 
@@ -337,7 +342,12 @@ class TestRun:
         assert not (tmp_path / "o" / "result.json").exists()
 
     @pytest.mark.parametrize("field,value", [("epsilon", "abc"),
-                                             ("relative_stopping", "yes")])
+                                             ("relative_stopping", "yes"),
+                                             ("eta1_init", "abc"),
+                                             ("eta2_init", True),
+                                             ("eta1_init", float("nan")),
+                                             ("eta2_init", 0),
+                                             ("eta1_init", -0.05)])
     def test_mistyped_solver_block(self, small_scenario, tmp_path, field,
                                    value):
         doc = json.loads(small_scenario.read_text())
@@ -347,8 +357,66 @@ class TestRun:
         out = cli("run", "--scenario", str(path), "--out-dir",
                   str(tmp_path / "o"))
         assert out.returncode == 1
-        assert f"solver.{field}" in out.stderr
+        assert f"solver.{field}" in error_line(out)
         assert "Traceback" not in out.stderr
+
+    def test_null_steps_accepted(self, small_scenario, small_bundle,
+                                 tmp_path):
+        # gen writes the scale-free default as null; so does --param
+        doc = json.loads(small_scenario.read_text())
+        assert doc["solver"]["eta1_init"] is None
+        assert doc["solver"]["eta2_init"] is None
+        doc["solver"].update(eta1_init=0.05, eta2_init=0.01)
+        path = tmp_path / "absolute.json"
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        out = cli("run", "--scenario", str(path), "--out-dir", str(out_dir),
+                  "--param", "solver.eta1_init=null",
+                  "--param", "solver.eta2_init=null")
+        assert out.returncode == 0, out.stderr
+        for name in ("result.json", "trace.csv", "demands.csv", "bids.csv"):
+            assert ((out_dir / name).read_bytes()
+                    == (small_bundle / name).read_bytes()), name
+
+    def test_absolute_steps_keep_bundle(self, tmp_path):
+        # an explicit absolute schedule (the defaults before steps were
+        # sized per slot) gives the bundle it always gave
+        path = tmp_path / "s.json"
+        assert cli("gen", "--seed", "1",
+                   "--param", "solver.eta1_init=0.05",
+                   "--param", "solver.eta2_init=0.01",
+                   "-o", str(path)).returncode == 0
+        out_dir = tmp_path / "o"
+        out = cli("run", "--scenario", str(path), "--out-dir", str(out_dir))
+        assert out.returncode == 0, out.stderr
+        digests = {name: hashlib.sha256((out_dir / name).read_bytes())
+                   .hexdigest() for name in ("result.json", "trace.csv",
+                                             "demands.csv", "bids.csv")}
+        assert digests == {
+            "result.json": "9991d8948c4f83479f24ef8ef35c74b130031132de4fae"
+                           "6ae54b470ad6279e0a",
+            "trace.csv": "b24f95929a02503a9c1d9869557a93efb4a6dbf20b7e5636"
+                         "eb32f130f9d9af74",
+            "demands.csv": "3fb41e65a011a2be7bc188138d4db28de704d20d79795b"
+                           "c2c82d5639c799e80c",
+            "bids.csv": "3e66dcaf272b67f629000cdad397c21f975229e2898849ca"
+                        "d6fac374880dd4bb",
+        }
+
+    def test_bid_past_rivals_sum_exit(self, tmp_path):
+        # a huge but finite bid step leaves one supplier holding every
+        # bid once the run settles: Lemma 1's region is left
+        path = tmp_path / "s.json"
+        assert cli("gen", "--seed", "1", "--tes", "20", "--ess", "3",
+                   "--slots", "4", "-o", str(path)).returncode == 0
+        out_dir = tmp_path / "o"
+        out = cli("run", "--scenario", str(path), "--out-dir", str(out_dir),
+                  "--param", "solver.eta1_init=1e150")
+        assert out.returncode == 4
+        line = error_line(out)
+        assert "degenerate market" in line and "rivals' sum" in line
+        assert re.search(r"slot \d+, iteration \d+", line)
+        assert not out_dir.exists()
 
     def test_one_error_line(self, tmp_path):
         out = cli("run", "--scenario", str(tmp_path / "missing.json"),
@@ -488,6 +556,20 @@ class TestCompanion:
 
 
 class TestOracle:
+    def test_default_reference_bundle_certifies(self, tmp_path):
+        # the default schedule reaches the equilibrium it reports
+        scn, run_dir = tmp_path / "s.json", tmp_path / "run"
+        assert cli("gen", "--seed", "1", "-o", str(scn)).returncode == 0
+        assert cli("run", "--scenario", str(scn), "--out-dir",
+                   str(run_dir)).returncode == 0
+        report = tmp_path / "r.json"
+        out = cli("oracle", "--scenario", str(scn), "--result",
+                  str(run_dir), "-o", str(report))
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(report.read_text())
+        assert doc["passed"]
+        assert doc["best_response"]["worst_relative_gain"] < 1e-3
+
     def test_symmetric_hand_scenario(self, tmp_path):
         # one customer, L = 30 per slot, three near-linear unit-cost
         # suppliers: equilibrium price 2

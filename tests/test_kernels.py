@@ -440,7 +440,7 @@ class TestWorkspace:
             args = (chi, s.base_demand, w, s.utility_alpha,
                     (chi + s.base_demand).sum(axis=0),
                     np.full(chi.shape[1], s.num_es * s.solver.lambda_init),
-                    s.shiftable_total, s.solver.eta2_init)
+                    s.shiftable_total, 0.01)
             live = _kernels.any_live(s.base_demand, w, s.utility_alpha)
             assert live == (w is raised)
             for given_live in (live, None):
