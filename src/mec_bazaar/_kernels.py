@@ -3,21 +3,26 @@
 The solver's inner loop is three phases per iteration: a per-slot supplier
 bid update, a per-customer demand update, and batched simplex projection.
 Every agent's update is computed at once, as whole-array operations over
-the bid matrix (M x T) and the demand matrix (N x T). The two ascent
-directions are kernels of their own, so the gradient check evaluates the
-same code the solver steps along. All kernels are deterministic.
+the bid matrix (M x T) and the demand matrix. The two ascent directions
+are kernels of their own, so the gradient check evaluates the same code
+the solver steps along. All kernels are deterministic.
 
 The customer-phase kernels (``te_gradient``, ``te_phase``,
-``project_rows_np``) take optional keyword-only output and scratch
-buffers, so the solver loop can run them in a workspace it allocates
-once (see ``bidding_games.run_dtoa``). A buffer not given is allocated
-and the same in-place sequence of ufuncs runs on it, so a call gives the
-same bits with or without a workspace.
+``project_rows_np``) work slot-major: their demand arrays are T x N, one
+row per slot and one column per customer, the transpose of the N x T
+tables the scenario and the result bundle hold. Everything the customer
+step adds or divides per slot (load, bid total, step size) is then one
+scalar per row, broadcast along N contiguous entries, and each
+customer's daily sum runs over axis 0. The kernels take optional
+keyword-only output and scratch buffers, so the solver loop can run them
+in a workspace it allocates once (see ``bidding_games.run_dtoa``). A
+buffer not given is allocated and the same in-place sequence of ufuncs
+runs on it, so a call gives the same bits with or without a workspace.
 
-The projection shifts each row uniformly by its excess over the daily
-total and sorts only the rows where that shift drives an entry below
-zero; its bits are those of the shift, not of a full sort-and-threshold
-pass, with which it agrees to rounding.
+The projection shifts each customer's column uniformly by its excess
+over the daily total and sorts only the columns where that shift drives
+an entry below zero; its bits are those of the shift, not of a full
+sort-and-threshold pass, with which it agrees to rounding.
 
 The customer gradient takes the utility slope U'(x) = max(w - alpha x, 0)
 only on a market with some "live" pair, one with fl(alpha * base) <= w
@@ -35,51 +40,60 @@ from __future__ import annotations
 import numpy as np
 
 
+def _per_slot(v):
+    """A per-slot vector as a column, so that it broadcasts across the
+    customers of a T x N array; a scalar as it is."""
+    v = np.asarray(v)
+    return v[:, None] if v.ndim == 1 else v
+
+
 def project_rows_np(cand: np.ndarray, totals: np.ndarray, *,
                     out: np.ndarray | None = None) -> np.ndarray:
-    """Project each row of ``cand`` onto {x >= 0, sum x = total}.
+    """Project each column of the T x N ``cand`` (one customer's demand
+    over the slots) onto {x >= 0, sum x = total}.
 
-    Fast path: shift every row uniformly by theta = (row sum - total) / T,
-    the row sum being numpy's per-row ``sum``. A row whose shifted entries
-    are all >= 0 is then its own projection, as no entry clips; this holds
-    for every row of the reference and wide runs, so the fast path sorts
-    nothing. Only the other rows (a negative entry, a NaN, or a theta that
-    is not finite) go to the sort-and-threshold projection
-    ``_project_sorted``, which treats each row on its own.
+    Fast path: shift every column uniformly by theta = (column sum -
+    total) / T, the column sum being numpy's ``sum`` over axis 0. A
+    column whose shifted entries are all >= 0 is then its own
+    projection, as no entry clips; this holds for every column of the
+    reference and wide runs, so the fast path sorts nothing. Only the
+    other columns (a negative entry, a NaN, or a theta that is not
+    finite) go to the sort-and-threshold projection ``_project_sorted``,
+    which treats each column on its own.
 
-    ``out`` receives the projection; it is allocated when not given, and
-    must not overlap ``cand``.
+    ``totals`` holds one total per column, or one for all. ``out``
+    receives the projection; it is allocated when not given, and must
+    not overlap ``cand``.
     """
-    r, t = cand.shape
-    totals = np.broadcast_to(totals, (r,))
-    theta = cand.sum(axis=1)
+    t = cand.shape[0]
+    theta = cand.sum(axis=0)
     theta -= totals
     theta /= float(t)
-    out = np.subtract(cand, theta[:, None], out=out)
+    out = np.subtract(cand, theta, out=out)
     finite = np.isfinite(theta)
     # min propagates NaN, so a NaN entry fails the test as well
     if not (finite.all() and out.min(initial=0.0) >= 0.0):
-        slow = ~(finite & (out >= 0.0).all(axis=1))
-        out[slow] = _project_sorted(cand[slow], totals[slow])
+        slow = ~(finite & (out >= 0.0).all(axis=0))
+        out[:, slow] = _project_sorted(
+            cand[:, slow], np.broadcast_to(totals, theta.shape)[slow])
     return out
 
 
 def _project_sorted(cand, totals):
-    """Sort-and-threshold projection of each row of ``cand``: the general
-    case behind ``project_rows_np``. With the row sorted descending (u)
-    and css its running sum, the threshold index rho is the last k with
-    u_k (k+1) > css_k - total."""
-    r, t = cand.shape
-    u = np.sort(cand, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    k = np.arange(1.0, t + 1.0)
-    cond = u * k > css - totals[:, None]
-    any_true = cond.any(axis=1)
-    rho = t - 1 - np.argmax(cond[:, ::-1], axis=1)
-    rows = np.arange(r)
-    theta = (css[rows, rho] - totals) / (rho + 1.0)
-    out = np.maximum(cand - theta[:, None], 0.0)
-    out[~any_true] = 0.0
+    """Sort-and-threshold projection of each column of ``cand``: the
+    general case behind ``project_rows_np``. With the column sorted
+    descending (u) and css its running sum, the threshold index rho is
+    the last k with u_k (k+1) > css_k - total."""
+    t, r = cand.shape
+    u = np.sort(cand, axis=0)[::-1]
+    css = np.cumsum(u, axis=0)
+    k = np.arange(1.0, t + 1.0)[:, None]
+    cond = u * k > css - totals
+    any_true = cond.any(axis=0)
+    rho = t - 1 - np.argmax(cond[::-1], axis=0)
+    theta = (css[rho, np.arange(r)] - totals) / (rho + 1.0)
+    out = np.maximum(cand - theta, 0.0)
+    out[:, ~any_true] = 0.0
     return out
 
 
@@ -113,15 +127,17 @@ def es_direction(lam, load, a2, a1, delta, *, price=None):
     return out
 
 
-def es_phase(lam, load, a2, a1, eta1, delta):
+def es_phase(lam, load, a2, a1, eta1, delta, *, totals=None):
     """One simultaneous bid-ascent step for every supplier at every slot.
 
     Returns (new_bids, new_bid_totals, refreshed_price, bad_slot) where
     bad_slot is the first slot whose bids sum to zero or overflow to a
     non-finite total (-1 if none). Bids step along ``es_direction`` and
-    are clipped at zero.
+    are clipped at zero. ``totals`` is the per-slot sum of ``lam``, as
+    the previous step returned it; it is summed when not given.
     """
-    totals = lam.sum(axis=0)
+    if totals is None:
+        totals = lam.sum(axis=0)
     if (totals <= 0.0).any():
         return lam, totals, totals, int(np.argmax(totals <= 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -153,11 +169,12 @@ def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None,
                 live=None):
     """Exact partial derivative of each customer's payoff in its demand.
 
-    U'(x) - (L + x) / sum(bids) with x = chi + base, per customer and
-    slot; the second term carries the customer's own impact on the
-    clearing price. ``load`` and ``totals`` are per-slot; ``base``, ``w``
-    and ``alpha`` have the shape of ``chi``, and chi >= 0 (the feasible
-    set, which the projection keeps).
+    U'(x) - (L + x) / sum(bids) with x = chi + base, per slot and
+    customer; the second term carries the customer's own impact on the
+    clearing price. ``load`` and ``totals`` are per-slot (or scalars, for
+    a single pair); ``base``, ``w`` and ``alpha`` have the shape of
+    ``chi`` (T x N, or scalars), and chi >= 0 (the feasible set, which
+    the projection keeps).
 
     U'(x) = max(w - alpha x, 0): for finite inputs, fl(w - alpha x) >= 0
     exactly when alpha x <= w, so this has the bits of the piecewise form.
@@ -170,14 +187,18 @@ def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None,
     the same bits on any market.
 
     ``out`` receives the gradient and ``x`` is scratch for chi + base;
-    each is allocated in the shape of ``chi`` when not given.
+    each is allocated in the shape of ``chi`` when not given. Without
+    the utility slope the gradient is built in ``out`` itself, so ``x``
+    is then neither needed nor written.
     """
-    if x is None:
-        x = np.empty(np.shape(chi))
     if out is None:
         out = np.empty(np.shape(chi))
     if live is None:
-        live = any_live(base, w, alpha, scratch=x)
+        live = any_live(base, w, alpha, scratch=out)
+    if not live:
+        x = out
+    elif x is None:
+        x = np.empty(np.shape(chi))
     np.add(chi, base, out=x)
     # 0.0 - p, not -p: at p = 0.0 the full formula gives +0.0
     slope = 0.0
@@ -185,28 +206,31 @@ def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None,
         slope = np.multiply(alpha, x, out=out)
         np.subtract(w, slope, out=slope)
         np.maximum(slope, 0.0, out=slope)
-    x += load
-    x /= totals
+    x += _per_slot(load)
+    x /= _per_slot(totals)
     return np.subtract(slope, x, out=out)
 
 
 def te_phase(chi, base, w, alpha, load, totals, q, eta2, *, out=None,
              grad=None, scratch=None, live=None):
-    """One simultaneous demand-ascent step for every customer row.
+    """One simultaneous demand-ascent step for every customer.
 
-    Steps along ``te_gradient``, then projects each row back onto its
-    fixed daily total (Euclidean projection). ``live`` is handed to
-    ``te_gradient``.
+    The arrays are T x N, one column per customer; ``load``, ``totals``
+    and a per-slot step ``eta2`` (a scalar step is taken at every slot)
+    broadcast across the customers. Steps along ``te_gradient``, then
+    projects each column back onto its fixed daily total ``q``
+    (Euclidean projection). ``live`` is handed to ``te_gradient``.
 
-    The step runs in two N x T buffers besides ``out``, which receives
-    the new demand: ``grad`` holds the stepped rows and ``scratch`` holds
-    chi + base for the gradient. Each is allocated when not given; none
-    may overlap ``chi`` or another. Once all three are given, a call
-    allocates only a few per-row vectors and, when ``live`` is not given,
-    one boolean N x T mask.
+    The step runs in ``grad`` besides ``out``, which receives the new
+    demand: ``grad`` holds the stepped demand, and ``scratch`` holds
+    chi + base for the gradient where the utility slope is taken. Each
+    is allocated when needed and not given; none may overlap ``chi`` or
+    another. Once they are given, a call allocates only a few
+    per-customer vectors and, when ``live`` is not given, one boolean
+    T x N mask.
     """
     grad = te_gradient(chi, base, w, alpha, load, totals, out=grad,
                        x=scratch, live=live)
-    grad *= eta2
+    grad *= _per_slot(eta2)
     grad += chi
     return project_rows_np(grad, q, out=out)

@@ -102,8 +102,9 @@ def project_simplex(v: np.ndarray, total) -> np.ndarray:
     if np.any(np.less(total, 0)):
         raise DomainError("projection total must be nonnegative")
     v = np.asarray(v, dtype=float)
-    out = _kernels.project_rows_np(np.atleast_2d(v), np.atleast_1d(total))
-    return out[0] if v.ndim == 1 else out
+    # the kernel projects the columns of a slot-major (T x N) array
+    out = _kernels.project_rows_np(np.atleast_2d(v).T, np.atleast_1d(total))
+    return out[:, 0] if v.ndim == 1 else out.T
 
 
 # --------------------------------------------------------------------------
@@ -112,32 +113,31 @@ def project_simplex(v: np.ndarray, total) -> np.ndarray:
 
 def _frobenius(a: np.ndarray) -> float:
     """Frobenius norm of the matrix ``a``; ``inf`` when its squares
-    overflow. Summed by ``einsum`` rather than BLAS, so the stopping
-    norms, and with them the bundle, do not depend on the BLAS thread
-    count."""
-    with np.errstate(over="ignore"):
-        return math.sqrt(np.einsum("ij,ij->", a, a))
+    overflow (``einsum`` reports no floating-point error, so that needs
+    no ``errstate``). Summed by ``einsum`` rather than BLAS, so the
+    stopping norms, and with them the bundle, do not depend on the BLAS
+    thread count."""
+    return math.sqrt(np.einsum("ij,ij->", a, a))
 
 
-def _supplier_step(lam: np.ndarray, load: np.ndarray, a2: np.ndarray,
-                   a1: np.ndarray, eta1: float, cfg: SolverConfig,
-                   iteration: int):
+def _supplier_step(lam: np.ndarray, totals: np.ndarray, load: np.ndarray,
+                   a2: np.ndarray, a1: np.ndarray, eta1: float,
+                   cfg: SolverConfig, iteration: int):
     """One simultaneous bid step of every supplier at per-slot ``load``.
 
-    ``eta1`` is the step, or, when ``cfg.eta1_init`` is None, the
-    multiplier of the per-slot step ``eta1 * Lambda_t**2 / L_t``.
-    Returns (new_bids, totals, price, step_norm), the last being the
-    Frobenius norm of the step. Raises :class:`DegenerateMarketError`
-    when the bids collapse to zero or overflow at some slot, or when the
-    step is too large for a finite norm (reported at the slot with the
-    largest move).
+    ``totals`` is the per-slot sum of ``lam``. ``eta1`` is the step, or,
+    when ``cfg.eta1_init`` is None, the multiplier of the per-slot step
+    ``eta1 * Lambda_t**2 / L_t``. Returns (new_bids, new_totals, price,
+    step_norm), the last being the Frobenius norm of the step. Raises
+    :class:`DegenerateMarketError` when the bids collapse to zero or
+    overflow at some slot, or when the step is too large for a finite
+    norm (reported at the slot with the largest move).
     """
     if cfg.eta1_init is None:
-        bid_totals = lam.sum(axis=0)
         with np.errstate(over="ignore"):
-            eta1 = eta1 * bid_totals * bid_totals / load
+            eta1 = eta1 * totals * totals / load
     new, totals, price, bad = _kernels.es_phase(
-        lam, load, a2, a1, eta1, cfg.singularity_delta)
+        lam, load, a2, a1, eta1, cfg.singularity_delta, totals=totals)
     if bad >= 0:
         what = ("collapsed to zero" if np.isfinite(totals[bad])
                 else "overflowed")
@@ -194,15 +194,18 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     initial demand comes from the scenario's seeded draw and bids start
     at ``lambda_init``.
 
-    The customer phase runs in a workspace of four N x T buffers
-    allocated once: the current demand, the spare that ``te_phase``
-    writes the new demand into (the two swap every iteration),
-    ``te_phase``'s ``grad``, which then holds the demand step whose norm
-    is taken, and its ``scratch``, which holds chi + base for the
-    gradient. The current demand starts as a copy, so the scenario's own
-    initial demand is never written. The three buffers besides the final
-    demand are released before the market state and agent economics are
-    computed, which set the run's memory peak.
+    The customer phase runs slot-major, in T x N copies of the
+    scenario's N x T tables (see ``_kernels``), made once: the current
+    demand (a copy of the initial demand, so the scenario's own is never
+    written) and the base demand, and the utility's ``w`` and ``alpha``
+    only on a market where they are read. Besides these the workspace
+    holds the spare that ``te_phase`` writes the new demand into (the
+    two swap every iteration) and ``te_phase``'s ``grad``, which then
+    holds the demand step whose norm is taken; a market with live pairs
+    adds a ``scratch`` for chi + base, and on any other market the
+    gradient is built in ``grad`` itself. The workspace is released and
+    the final demand transposed back to N x T before the market state
+    and agent economics are computed, which set the run's memory peak.
 
     Whether any customer pair's utility can still slope up (``any_live``)
     is found once, before the workspace is allocated; on a market with
@@ -216,15 +219,23 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     w = np.ascontiguousarray(scenario.utility_w, dtype=float)
     alpha = np.ascontiguousarray(scenario.utility_alpha, dtype=float)
     live = _kernels.any_live(base, w, alpha)
-    chi = np.array(scenario.initial_demand, dtype=float, order="C")
+    chi = np.array(scenario.initial_demand.T, dtype=float, order="C")
+    base_t = np.ascontiguousarray(base.T)
+    if live:
+        w_t = np.ascontiguousarray(w.T)
+        alpha_t = np.ascontiguousarray(alpha.T)
+        scratch = np.empty_like(chi)
+    else:
+        # never read; views keep the kernel's T x N shapes
+        w_t, alpha_t, scratch = w.T, alpha.T, None
     spare = np.empty_like(chi)
     grad = np.empty_like(chi)
-    scratch = np.empty_like(chi)
     q = np.ascontiguousarray(scenario.shiftable_total, dtype=float)
     a2 = np.ascontiguousarray(scenario.cost_coeffs[:, 0], dtype=float)
     a1 = np.ascontiguousarray(scenario.cost_coeffs[:, 1], dtype=float)
     lam = np.full((scenario.num_es, scenario.num_slots), cfg.lambda_init,
                   dtype=float)
+    totals = lam.sum(axis=0)
 
     eta1 = C1 if cfg.eta1_init is None else cfg.eta1_init
     eta2 = C2 if cfg.eta2_init is None else cfg.eta2_init
@@ -238,24 +249,25 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
 
     status = STATUS_ITERATION_CAP
     iterations = 0
-    base_load = base.sum(axis=0)
+    base_load = base_t.sum(axis=1)
     for g in range(1, cfg.max_iterations + 1):
-        load = chi.sum(axis=0) + base_load
+        load = chi.sum(axis=1)
+        load += base_load
         lam, totals, price, bid_delta = _supplier_step(
-            lam, load, a2, a1, eta1, cfg, g)
+            lam, totals, load, a2, a1, eta1, cfg, g)
         step2 = eta2 if cfg.eta2_init is not None else (
             eta2 * totals / customers)
-        chi_new = _kernels.te_phase(chi, base, w, alpha, load, totals, q,
-                                    step2, out=spare, grad=grad,
-                                    scratch=scratch, live=live)
-        delta = _frobenius(np.subtract(chi_new, chi, out=grad))
+        spare = _kernels.te_phase(chi, base_t, w_t, alpha_t, load, totals,
+                                  q, step2, out=spare, grad=grad,
+                                  scratch=scratch, live=live)
+        delta = _frobenius(np.subtract(spare, chi, out=grad))
         rec_price.append(price)
         rec_load.append(load)
         rec_delta.append(delta)
         rec_bid_delta.append(bid_delta)
         rec_eta1.append(eta1)
         rec_eta2.append(eta2)
-        chi, spare = chi_new, chi
+        chi, spare = spare, chi
         iterations = g
         eta1 *= cfg.eta1_decay
         eta2 *= cfg.eta2_decay
@@ -272,13 +284,15 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
         eta1=np.array(rec_eta1),
         eta2=np.array(rec_eta2),
     )
-    del spare, grad, scratch
+    del spare, grad, scratch, base_t, w_t, alpha_t
+    demand = np.ascontiguousarray(chi.T)
+    del chi
     if status == STATUS_CONVERGED:
         _check_lemma1(lam, iterations)
-    state = compute_market_state(chi, base, lam)
-    econ = compute_agent_economics(chi, base, lam, scenario.cost_coeffs,
+    state = compute_market_state(demand, base, lam)
+    econ = compute_agent_economics(demand, base, lam, scenario.cost_coeffs,
                                    w, alpha, state)
-    return EquilibriumResult(bids=lam, demand=chi, state=state,
+    return EquilibriumResult(bids=lam, demand=demand, state=state,
                              economics=econ, trace=trace, status=status,
                              iterations_used=iterations)
 
@@ -299,12 +313,13 @@ def supplier_fixed_point(loads: np.ndarray, cost_coeffs: np.ndarray,
     a1 = np.ascontiguousarray(cost_coeffs[:, 1], dtype=float)
     lam = np.full((cost_coeffs.shape[0], loads.size), solver.lambda_init,
                   dtype=float)
+    totals = lam.sum(axis=0)
     eta1 = C1 if solver.eta1_init is None else solver.eta1_init
     converged = False
     iterations = 0
     for g in range(1, solver.max_iterations + 1):
-        lam, _, _, delta = _supplier_step(lam, loads, a2, a1, eta1,
-                                          solver, g)
+        lam, totals, _, delta = _supplier_step(lam, totals, loads, a2, a1,
+                                               eta1, solver, g)
         iterations = g
         eta1 *= solver.eta1_decay
         if delta < _threshold(solver, lam):

@@ -70,6 +70,11 @@ log = logging.getLogger("mec_bazaar")
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF  # seeds count modulo 2**64, as in gen
+# the largest relative gap ``oracle --result`` lets a bundle keep from the
+# equilibrium, on either side of the market: its price against the
+# supplier equilibrium price, a customer's best-response gain against its
+# payoff
+_GAP_TOL = 1e-3
 
 
 def _setup_logging() -> None:
@@ -314,6 +319,14 @@ def cmd_oracle(args) -> int:
             }
             if eq.residual > 1e-8 or probes.violations:
                 report["passed"] = False
+            if bids is not None:
+                with np.errstate(divide="ignore"):
+                    price = loads[t] / bids[:, t].sum()
+                gap = float(abs(price - eq.price) / eq.price)
+                entry["bundle_price"] = float(price)
+                entry["price_gap"] = gap
+                if not gap <= _GAP_TOL:
+                    report["passed"] = False
             report["slots"][str(t)] = entry
     except TwoSupplierMarketError as exc:
         return _fail(EXIT_TWO_SUPPLIERS, str(exc))
@@ -347,7 +360,7 @@ def cmd_oracle(args) -> int:
         report["best_response"] = {"worst_relative_gain": worst, "gains": [
             {"te": i, "gain": g, "relative": r} for i, (g, r)
             in enumerate(zip(gains.tolist(), relative.tolist()))]}
-        if worst > 1e-3:
+        if worst > _GAP_TOL:
             report["passed"] = False
 
     out_path = args.output or "oracle_report.json"

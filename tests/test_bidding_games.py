@@ -55,11 +55,11 @@ def surrogate(lam, j, load, coeffs, delta=1e-6):
 
 
 def slot_gradient(chi, base, i, t, lam, w, alpha):
-    """Customer i's gradient at slot t from the kernel; every slot sees
-    the bid column ``lam``."""
-    load = (chi + base).sum(axis=0)
-    totals = np.full(chi.shape[1], lam.sum())
-    return te_gradient(chi, base, w, alpha, load, totals)[i, t]
+    """Customer i's gradient at slot t from the kernel, on slot-major
+    (T x N) arrays; every slot sees the bid column ``lam``."""
+    load = (chi + base).sum(axis=1)
+    totals = np.full(chi.shape[0], lam.sum())
+    return te_gradient(chi, base, w, alpha, load, totals)[t, i]
 
 
 class TestEsSurrogateGradient:
@@ -167,37 +167,37 @@ class TestTeGradient:
         rng = np.random.default_rng(23)
         for _ in range(100):
             n, t_count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-            chi = rng.uniform(0.0, 3.0, size=(n, t_count))
-            base = rng.uniform(0.0, 3.0, size=(n, t_count))
-            w = rng.uniform(0.5, 2.0, size=(n, t_count))
-            alpha = rng.uniform(0.2, 1.0, size=(n, t_count))
+            chi = rng.uniform(0.0, 3.0, size=(t_count, n))
+            base = rng.uniform(0.0, 3.0, size=(t_count, n))
+            w = rng.uniform(0.5, 2.0, size=(t_count, n))
+            alpha = rng.uniform(0.2, 1.0, size=(t_count, n))
             lam = rng.uniform(0.5, 4.0, size=3)
             i, t = int(rng.integers(n)), int(rng.integers(t_count))
             analytic = slot_gradient(chi, base, i, t, lam, w, alpha)
 
             def payoff(v):
-                x = v + base[i, t]
-                others = (chi[:, t].sum() - chi[i, t]
-                          + base[:, t].sum() - base[i, t])
+                x = v + base[t, i]
+                others = (chi[t].sum() - chi[t, i]
+                          + base[t].sum() - base[t, i])
                 price = (others + x) / lam.sum()
-                cap = w[i, t] / alpha[i, t]
-                util = (w[i, t] * x - alpha[i, t] / 2 * x * x if x <= cap
-                        else w[i, t] ** 2 / (2 * alpha[i, t]))
+                cap = w[t, i] / alpha[t, i]
+                util = (w[t, i] * x - alpha[t, i] / 2 * x * x if x <= cap
+                        else w[t, i] ** 2 / (2 * alpha[t, i]))
                 return util - x * price
 
-            h = 1e-7 * (1 + chi[i, t])
-            fd = (payoff(chi[i, t] + h) - payoff(chi[i, t] - h)) / (2 * h)
+            h = 1e-7 * (1 + chi[t, i])
+            fd = (payoff(chi[t, i] + h) - payoff(chi[t, i] - h)) / (2 * h)
             assert analytic == pytest.approx(fd, rel=2e-6, abs=1e-9)
 
     def test_degenerate(self):
         # zero bids at slot 0 make its price impact infinite; the kernel
         # has no guard of its own, es_phase reports such a slot first
-        ones = np.ones((1, 2))
+        ones = np.ones((2, 1))
         with np.errstate(divide="ignore"):
             grad = te_gradient(ones, ones, ones, ones, np.full(2, 2.0),
                                np.array([0.0, 1.0]))
         assert grad[0, 0] == -np.inf
-        assert np.isfinite(grad[0, 1])
+        assert np.isfinite(grad[1, 0])
 
 
 class TestProjectSimplex:
@@ -301,26 +301,28 @@ class TestProjectSimplexProperties:
 
 class TestTeUpdateStep:
     def test_uniform_gradient_leaves_row_unchanged(self):
-        # one slot-symmetric customer: every slot sees the same gradient,
-        # and the projection removes the common component
-        chi = np.array([[2.0, 2.0, 2.0]])
-        base = np.array([[1.0, 1.0, 1.0]])
+        # one slot-symmetric customer (a T x N column): every slot sees
+        # the same gradient, and the projection removes the common
+        # component
+        chi = np.array([[2.0], [2.0], [2.0]])
+        base = np.array([[1.0], [1.0], [1.0]])
         bids = np.full((2, 3), 4.0)
-        w = np.full((1, 3), 1.0)
-        alpha = np.full((1, 3), 0.5)
-        rows = te_phase(chi, base, w, alpha, (chi + base).sum(axis=0),
-                        bids.sum(axis=0), chi.sum(axis=1), 0.7)
+        w = np.full((3, 1), 1.0)
+        alpha = np.full((3, 1), 0.5)
+        rows = te_phase(chi, base, w, alpha, (chi + base).sum(axis=1),
+                        bids.sum(axis=0), chi.sum(axis=0), 0.7)
         np.testing.assert_allclose(rows, chi, atol=1e-12)
 
     def test_row_sum_preserved(self):
         s = generate_scenario(GenerationParams(
             num_te=6, num_es=3, num_slots=5, seed=9))
-        chi = s.initial_demand.copy()
+        # the kernel takes slot-major (T x N) arrays
+        chi, base, w, alpha = (a.T.copy() for a in (
+            s.initial_demand, s.base_demand, s.utility_w, s.utility_alpha))
         bids = np.full((3, 5), s.solver.lambda_init)
-        rows = te_phase(chi, s.base_demand, s.utility_w, s.utility_alpha,
-                        (chi + s.base_demand).sum(axis=0), bids.sum(axis=0),
-                        s.shiftable_total, 0.01)
-        np.testing.assert_allclose(rows.sum(axis=1), s.shiftable_total,
+        rows = te_phase(chi, base, w, alpha, (chi + base).sum(axis=1),
+                        bids.sum(axis=0), s.shiftable_total, 0.01)
+        np.testing.assert_allclose(rows.sum(axis=0), s.shiftable_total,
                                    rtol=1e-9)
         assert np.all(rows >= 0)
 
@@ -409,6 +411,17 @@ class TestRunDtoa:
             assert getattr(s, name).tobytes() == want.tobytes(), name
         assert len(bundles[0]) == 4
         assert bundles[0] == bundles[1]
+
+    def test_live_pair_market(self):
+        # w far above alpha * base on every pair: the utility slope pulls
+        # the demand, so the customer step takes the full formula
+        s = generate_scenario(GenerationParams(
+            num_te=2000, seed=3, w_range=(5000.0, 20000.0)))
+        live = s.utility_alpha * s.base_demand <= s.utility_w
+        assert live.any()
+        res = run_dtoa(s)
+        assert res.status == STATUS_CONVERGED
+        assert res.iterations_used == 335
 
     def test_memory_peak(self):
         # N=2000, T=24: the customer phase's workspace is released before

@@ -17,6 +17,7 @@ from mec_bazaar.scenario_io import GenerationParams, generate_scenario, save_sce
 from mec_bazaar.market_model import SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+DATA = Path(__file__).resolve().parent / "data"
 HUGE = 10 ** 400  # an integer too large for a float
 
 
@@ -380,7 +381,14 @@ class TestRun:
 
     def test_absolute_steps_keep_bundle(self, tmp_path):
         # an explicit absolute schedule (the defaults before steps were
-        # sized per slot) gives the bundle it always gave
+        # sized per slot) takes the path it always took. Its bundle
+        # matches the one the solver wrote before its customer phase
+        # went slot-major (data/absolute_steps_parent.npz, the numbers of
+        # the four files at commit 5104ce6): the same status and
+        # iteration count and every number within 1e-12 relative. The
+        # demand-step norms are each the norm of a difference of two
+        # close demand matrices, so they are held to 1e-12 of the
+        # demand's own norm. The new bits are then pinned.
         path = tmp_path / "s.json"
         assert cli("gen", "--seed", "1",
                    "--param", "solver.eta1_init=0.05",
@@ -389,18 +397,46 @@ class TestRun:
         out_dir = tmp_path / "o"
         out = cli("run", "--scenario", str(path), "--out-dir", str(out_dir))
         assert out.returncode == 0, out.stderr
+        doc = json.loads((out_dir / "result.json").read_text())
+        assert doc["status"] == "converged"
+        assert doc["iterations"] == 340
+
+        def table(name, slots):
+            rows = np.loadtxt(out_dir / name, delimiter=",", skiprows=1)
+            return rows[:, -1].reshape(-1, slots)
+
+        trace = np.loadtxt(out_dir / "trace.csv", delimiter=",",
+                           skiprows=1)
+        new = {key: np.array(doc[key]) for key in (
+            "load", "price", "es_daily_profit", "es_daily_revenue",
+            "te_daily_payout", "te_payoff")}
+        new.update(
+            demand=table("demands.csv", 24), bids=table("bids.csv", 24),
+            trace_price=trace[:, 2].reshape(-1, 24),
+            trace_load=trace[:, 3].reshape(-1, 24),
+            trace_eta1=trace[::24, 5], trace_eta2=trace[::24, 6])
+        with np.load(DATA / "absolute_steps_parent.npz") as parent:
+            old = dict(parent)
+        assert set(old) == set(new) | {"final_delta", "trace_delta"}
+        for key, want in new.items():
+            np.testing.assert_allclose(want, old[key], rtol=1e-12, atol=0,
+                                       err_msg=key)
+        scale = 1e-12 * np.linalg.norm(old["demand"])
+        np.testing.assert_allclose(trace[::24, 4], old["trace_delta"],
+                                   rtol=0, atol=scale)
+        assert abs(doc["final_delta"] - old["final_delta"]) <= scale
         digests = {name: hashlib.sha256((out_dir / name).read_bytes())
                    .hexdigest() for name in ("result.json", "trace.csv",
                                              "demands.csv", "bids.csv")}
         assert digests == {
-            "result.json": "9991d8948c4f83479f24ef8ef35c74b130031132de4fae"
-                           "6ae54b470ad6279e0a",
-            "trace.csv": "b24f95929a02503a9c1d9869557a93efb4a6dbf20b7e5636"
-                         "eb32f130f9d9af74",
-            "demands.csv": "3fb41e65a011a2be7bc188138d4db28de704d20d79795b"
-                           "c2c82d5639c799e80c",
-            "bids.csv": "3e66dcaf272b67f629000cdad397c21f975229e2898849ca"
-                        "d6fac374880dd4bb",
+            "result.json": "9841cee35e1bb1407c425012a1520f210baea14a27c514"
+                           "f468c2822930d73311",
+            "trace.csv": "92cda01d485c083281af99c87cc93e2d4801a1c50afc7aee"
+                         "55beb564ad0315e0",
+            "demands.csv": "4ea66710c87d6d1d53b2901aa9109c6e3ab416da08afca"
+                           "828d388b1436b3639a",
+            "bids.csv": "4fbdb9d0b8280746d571d0ca2574873c6e2f0e64612e46e4"
+                        "7d950095d0a86a34",
         }
 
     def test_bid_past_rivals_sum_exit(self, tmp_path):
@@ -569,6 +605,32 @@ class TestOracle:
         doc = json.loads(report.read_text())
         assert doc["passed"]
         assert doc["best_response"]["worst_relative_gain"] < 1e-3
+        assert len(doc["slots"]) == 24
+        assert all(entry["price_gap"] < 1e-3
+                   for entry in doc["slots"].values())
+
+    def test_price_far_from_equilibrium_flagged(self, tmp_path):
+        # bids started at 1e-10 stop converged with prices near 1.48e7,
+        # while the supplier equilibrium at the same loads is about
+        # 10.63; the customers' best responses at those prices leave no
+        # gain, so only the supplier side can fail the bundle
+        scn, run_dir = tmp_path / "s.json", tmp_path / "run"
+        assert cli("gen", "--seed", "1", "--tes", "20", "--ess", "3",
+                   "--slots", "4", "-o", str(scn)).returncode == 0
+        out = cli("run", "--scenario", str(scn), "--out-dir", str(run_dir),
+                  "--param", "solver.lambda_init=1e-10")
+        assert out.returncode == 0, out.stderr
+        report = tmp_path / "r.json"
+        out = cli("oracle", "--scenario", str(scn), "--result",
+                  str(run_dir), "-o", str(report))
+        assert out.returncode == 6, out.stderr
+        doc = json.loads(report.read_text())
+        assert not doc["passed"]
+        assert doc["best_response"]["worst_relative_gain"] < 1e-3
+        for entry in doc["slots"].values():
+            assert entry["bundle_price"] == pytest.approx(1.48e7, rel=0.01)
+            assert entry["price"] == pytest.approx(10.63, rel=0.01)
+            assert entry["price_gap"] > 1e6
 
     def test_symmetric_hand_scenario(self, tmp_path):
         # one customer, L = 30 per slot, three near-linear unit-cost

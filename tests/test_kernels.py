@@ -5,7 +5,10 @@ plain formulas below, which are the reference the kernels must reproduce
 exactly, and the customer phase against itself run in a caller's
 workspace instead of fresh arrays. The projection's uniform-shift rule is
 also checked against the full sort-and-threshold projection, to within
-the rounding of a row sum.
+the rounding of a customer's daily sum.
+
+The customer-phase arrays are slot-major, T x N: one row per slot and
+one column per customer, as the solver loop holds them.
 """
 
 import numpy as np
@@ -27,47 +30,60 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 def sort_and_threshold(cand, totals):
-    """Sort-and-threshold projection of every row onto {x >= 0, sum x =
-    total}: rho is the last k with u_k (k+1) > css_k - total."""
-    r, t = cand.shape
-    u = np.sort(cand, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    k = np.arange(1.0, t + 1.0)
-    cond = u * k > css - totals[:, None]
-    any_true = cond.any(axis=1)
-    rho = t - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = (css[np.arange(r), rho] - totals) / (rho + 1.0)
-    out = np.maximum(cand - theta[:, None], 0.0)
-    out[~any_true] = 0.0
+    """Sort-and-threshold projection of every column onto {x >= 0, sum x
+    = total}: rho is the last k with u_k (k+1) > css_k - total."""
+    t, r = cand.shape
+    u = np.sort(cand, axis=0)[::-1]
+    css = np.cumsum(u, axis=0)
+    k = np.arange(1.0, t + 1.0)[:, None]
+    cond = u * k > css - totals
+    any_true = cond.any(axis=0)
+    rho = t - 1 - np.argmax(cond[::-1], axis=0)
+    theta = (css[rho, np.arange(r)] - totals) / (rho + 1.0)
+    out = np.maximum(cand - theta, 0.0)
+    out[:, ~any_true] = 0.0
     return out
 
 
 def shift_path(cand, totals):
-    """Every row shifted by theta = (row sum - total) / T, and the rows
-    whose projection that shift is: a finite theta and no entry < 0."""
-    theta = (cand.sum(axis=1) - totals) / cand.shape[1]
-    shifted = cand - theta[:, None]
-    return shifted, np.isfinite(theta) & (shifted >= 0.0).all(axis=1)
+    """Every column shifted by theta = (column sum - total) / T, and the
+    columns whose projection that shift is: a finite theta and no entry
+    < 0."""
+    theta = (cand.sum(axis=0) - totals) / cand.shape[0]
+    shifted = cand - theta
+    return shifted, np.isfinite(theta) & (shifted >= 0.0).all(axis=0)
 
 
 def project_reference(cand, totals):
     """The projection rule: the uniform shift where it leaves no entry
     below zero, the sort-and-threshold projection elsewhere."""
     shifted, fast = shift_path(cand, totals)
-    return np.where(fast[:, None], shifted, sort_and_threshold(cand, totals))
+    return np.where(fast, shifted, sort_and_threshold(cand, totals))
+
+
+def column(v):
+    """A per-slot vector (or a scalar) as a column of a T x N array."""
+    return np.reshape(v, (-1, 1))
 
 
 def gradient_reference(chi, base, w, alpha, load, totals):
     x = chi + base
     up = np.where(x * alpha <= w, w - alpha * x, 0.0)
-    return up - (load + x) / totals
+    return up - (column(load) + x) / column(totals)
 
 
 def te_phase_reference(chi, base, w, alpha, load, totals, q, eta2,
                        **workspace):
     """The step in fresh arrays; the workspace buffers are ignored."""
     grad = gradient_reference(chi, base, w, alpha, load, totals)
-    return project_reference(chi + eta2 * grad, q)
+    return project_reference(chi + column(eta2) * grad, q)
+
+
+def columns(made):
+    """The T x N candidate with one column per (values, total) pair of
+    ``made``, and the totals."""
+    cand = np.ascontiguousarray(np.array([v for v, _ in made]).T)
+    return cand, np.array([q for _, q in made])
 
 
 def es_direction_reference(lam, load, a2, a1, delta):
@@ -80,11 +96,13 @@ def es_direction_reference(lam, load, a2, a1, delta):
     return np.where(guard, -price, price - (load - f) / denom * marginal)
 
 
-def es_phase_reference(lam, load, a2, a1, eta1, delta):
+def es_phase_reference(lam, load, a2, a1, eta1, delta, totals=None):
     """(new_bids, new_bid_totals, price, bad_slot) in fresh arrays: the
     price is the refreshed one, or the one before the step when a slot's
     new bids collapse or overflow; a slot whose bids already sum to zero
-    returns the bids unchanged with their totals in place of a price."""
+    returns the bids unchanged with their totals in place of a price.
+    Bid totals the caller carries are ignored: the bids are summed
+    afresh."""
     totals = lam.sum(axis=0)
     if np.any(totals <= 0.0):
         return lam, totals, totals, int(np.argmax(totals <= 0.0))
@@ -110,9 +128,10 @@ TOTALS = ("unclipped", "clipped", "one_left", "zero")
 
 
 def make_row(rng, shape, total, t):
-    """One candidate row of ``shape`` with a total that clips none, some,
-    all but about one, or all of its entries. A "nan" row is a spread row
-    with one entry replaced by NaN after its total is drawn."""
+    """One customer's candidate of ``shape`` with a total that clips none,
+    some, all but about one, or all of its entries. A "nan" candidate is
+    a spread one with one entry replaced by NaN after its total is
+    drawn."""
     scale = rng.uniform(0.1, 1e4)
     if shape == "ties":
         v = rng.integers(-2, 3, size=t) * scale
@@ -140,23 +159,29 @@ rows = st.lists(st.tuples(st.sampled_from(SHAPES), st.sampled_from(TOTALS)),
 class TestProjectRowsParity:
     def test_feasibility(self):
         rng = np.random.default_rng(2)
-        cand = rng.normal(0.0, 100.0, size=(50, 24))
+        cand = rng.normal(0.0, 100.0, size=(24, 50))
         totals = rng.uniform(0.0, 50.0, size=50)
         out = _kernels.project_rows_np(cand, totals)
         assert np.all(out >= 0)
-        np.testing.assert_allclose(out.sum(axis=1), totals,
+        np.testing.assert_allclose(out.sum(axis=0), totals,
                                    rtol=1e-9, atol=1e-12)
 
     def test_zero_total_row(self):
-        out = _kernels.project_rows_np(np.array([[3.0, -1.0]]),
+        out = _kernels.project_rows_np(np.array([[3.0], [-1.0]]),
                                        np.array([0.0]))
-        np.testing.assert_array_equal(out, [[0.0, 0.0]])
+        np.testing.assert_array_equal(out, [[0.0], [0.0]])
+
+    def test_one_total_for_all(self):
+        cand = np.array([[3.0, 0.5], [-1.0, 0.5]])
+        want = _kernels.project_rows_np(cand, np.array([2.0, 2.0]))
+        for total in (2.0, np.array([2.0])):
+            assert_same_bits(_kernels.project_rows_np(cand, total), want)
 
 
 @pytest.fixture
 def sorted_batches(monkeypatch):
-    """Every batch of rows ``project_rows_np`` hands to the sort, recorded
-    by a spy on ``_project_sorted``."""
+    """Every batch of customers ``project_rows_np`` hands to the sort,
+    recorded by a spy on ``_project_sorted``."""
     seen = []
     full = _kernels._project_sorted
 
@@ -173,9 +198,8 @@ class TestProjectRowsExact:
     @given(seed=seeds, t=st.integers(1, 30), kinds=rows)
     def test_matches_sort_and_threshold(self, seed, t, kinds):
         rng = np.random.default_rng(seed)
-        made = [make_row(rng, shape, total, t) for shape, total in kinds]
-        cand = np.array([v for v, _ in made])
-        totals = np.array([q for _, q in made])
+        cand, totals = columns([make_row(rng, shape, total, t)
+                                for shape, total in kinds])
         assert_same_bits(_kernels.project_rows_np(cand, totals),
                          project_reference(cand, totals))
 
@@ -183,9 +207,8 @@ class TestProjectRowsExact:
     @given(seed=seeds, t=st.integers(1, 30))
     def test_unclipped_rows_take_only_the_shift(self, seed, t):
         rng = np.random.default_rng(seed)
-        made = [make_row(rng, "spread", "unclipped", t) for _ in range(5)]
-        cand = np.array([v for v, _ in made])
-        totals = np.array([q for _, q in made])
+        cand, totals = columns([make_row(rng, "spread", "unclipped", t)
+                                for _ in range(5)])
         shifted, fast = shift_path(cand, totals)
         assert fast.all()
         assert_same_bits(_kernels.project_rows_np(cand, totals), shifted)
@@ -196,35 +219,35 @@ class TestProjectRowsExact:
         kinds = [("spread", "unclipped"), ("spread", "clipped"),
                  ("ties", "unclipped"), ("spread", "zero"),
                  ("all_equal", "unclipped"), ("spread", "one_left")]
-        made = [make_row(rng, shape, total, 12) for shape, total in kinds]
-        cand = np.array([v for v, _ in made])
-        totals = np.array([q for _, q in made])
+        cand, totals = columns([make_row(rng, shape, total, 12)
+                                for shape, total in kinds])
         fast = shift_path(cand, totals)[1]
         assert 0 < fast.sum() < len(kinds)
         out = _kernels.project_rows_np(cand, totals)
         assert len(sorted_batches) == 1
-        assert_same_bits(sorted_batches[0], cand[~fast])
+        assert_same_bits(sorted_batches[0], cand[:, ~fast])
         assert_same_bits(out, project_reference(cand, totals))
 
     def test_reference_run_never_sorts(self, sorted_batches):
         # the premise of the fast path: in the reference run (N=1000,
-        # default schedule) the shift leaves every entry of every row >= 0
+        # default schedule) the shift leaves every entry of every
+        # customer >= 0
         result = run_dtoa(generate_scenario(GenerationParams(seed=1)))
         assert result.status == "converged"
         assert [len(batch) for batch in sorted_batches] == []
 
     def test_nan_row_zeroed_like_the_sort(self):
-        cand = np.array([[1.0, np.nan, 2.0], [1.0, 2.0, 3.0]])
+        cand = np.array([[1.0, 1.0], [np.nan, 2.0], [2.0, 3.0]])
         totals = np.array([5.0, 30.0])
         out = _kernels.project_rows_np(cand, totals)
         assert_same_bits(out, project_reference(cand, totals))
-        np.testing.assert_array_equal(out[0], 0.0)
+        np.testing.assert_array_equal(out[:, 0], 0.0)
 
     def test_overflowing_row_sum_goes_to_the_sort(self):
-        # the first row sums to -inf, so theta = -inf shifts every entry
-        # to +inf or NaN; the second sums to +inf
-        cand = np.array([[-1e308, -1e308, 1.0], [1e308, 1e308, 1.0],
-                         [1.0, 2.0, 3.0]])
+        # the first customer sums to -inf, so theta = -inf shifts every
+        # entry to +inf or NaN; the second sums to +inf
+        cand = np.array([[-1e308, 1e308, 1.0], [-1e308, 1e308, 2.0],
+                         [1.0, 1.0, 3.0]])
         totals = np.array([1.0, 1.0, 30.0])
         with np.errstate(over="ignore", invalid="ignore"):
             fast = shift_path(cand, totals)[1]
@@ -236,42 +259,40 @@ class TestProjectRowsExact:
 
 class TestProjectRowsRounding:
     """The shift rule agrees with the full sort-and-threshold projection
-    up to the rounding of a row sum: (T + 1) eps times the row's
-    magnitude, the standard bound on a sum of the T entries and the
-    total."""
+    up to the rounding of a customer's daily sum: (T + 1) eps times the
+    customer's magnitude, the standard bound on a sum of the T entries
+    and the total."""
 
     @deterministic
     @given(seed=seeds, t=st.integers(1, 30))
     def test_every_kind_within_rounding(self, seed, t):
         rng = np.random.default_rng(seed)
-        made = [make_row(rng, shape, total, t)
-                for shape in SHAPES for total in TOTALS]
-        cand = np.array([v for v, _ in made])
-        totals = np.array([q for _, q in made])
+        cand, totals = columns([make_row(rng, shape, total, t)
+                                for shape in SHAPES for total in TOTALS])
         out = _kernels.project_rows_np(cand, totals)
-        nan = np.isnan(cand).any(axis=1)
-        np.testing.assert_array_equal(out[nan], 0.0)
-        cand, totals, out = cand[~nan], totals[~nan], out[~nan]
+        nan = np.isnan(cand).any(axis=0)
+        np.testing.assert_array_equal(out[:, nan], 0.0)
+        cand, totals, out = cand[:, ~nan], totals[~nan], out[:, ~nan]
         tol = ((t + 1) * np.finfo(float).eps
-               * (np.abs(cand).sum(axis=1) + totals))
+               * (np.abs(cand).sum(axis=0) + totals))
         assert np.all(out >= 0.0)
-        assert np.all(np.abs(out - sort_and_threshold(cand, totals))
-                      <= tol[:, None])
-        assert np.all(np.abs(out.sum(axis=1) - totals) <= tol)
+        assert np.all(np.abs(out - sort_and_threshold(cand, totals)) <= tol)
+        assert np.all(np.abs(out.sum(axis=0) - totals) <= tol)
 
 
 def customer_inputs(rng, n, t):
-    """Customer-phase inputs with some cells at exactly alpha x = w (the
-    first always) and some saturated, alpha x > w (the last always)."""
-    chi = rng.uniform(0.0, 3.0, size=(n, t))
-    base = rng.uniform(0.0, 3.0, size=(n, t))
-    alpha = rng.uniform(0.1, 0.9, size=(n, t))
-    w = rng.uniform(0.5, 3.0, size=(n, t))
-    pick = rng.random((n, t))
+    """T x N customer-phase inputs with some cells at exactly alpha x = w
+    (the first always) and some saturated, alpha x > w (the last
+    always)."""
+    chi = rng.uniform(0.0, 3.0, size=(t, n))
+    base = rng.uniform(0.0, 3.0, size=(t, n))
+    alpha = rng.uniform(0.1, 0.9, size=(t, n))
+    w = rng.uniform(0.5, 3.0, size=(t, n))
+    pick = rng.random((t, n))
     w = np.where(pick < 0.2, (chi + base) * alpha, w)
     w[0, 0] = (chi[0, 0] + base[0, 0]) * alpha[0, 0]
     w[-1, -1] = 0.5 * (chi[-1, -1] + base[-1, -1]) * alpha[-1, -1]
-    load = chi.sum(axis=0) + base.sum(axis=0)
+    load = chi.sum(axis=1) + base.sum(axis=1)
     totals = rng.uniform(1.0, 50.0, size=t)
     return chi, base, w, alpha, load, totals
 
@@ -293,12 +314,23 @@ class TestCustomerPhaseExact:
     def test_phase_matches_reference(self, seed, n, t, eta2):
         rng = np.random.default_rng(seed)
         args = customer_inputs(rng, n, t)
-        q = args[0].sum(axis=1) * rng.uniform(0.0, 1.5, size=n)
+        q = args[0].sum(axis=0) * rng.uniform(0.0, 1.5, size=n)
         before = [a.copy() for a in args]
         assert_same_bits(_kernels.te_phase(*args, q, eta2),
                          te_phase_reference(*args, q, eta2))
         for a, b in zip(args, before):
             assert_same_bits(a, b)
+
+    @deterministic
+    @given(seed=seeds, n=st.integers(1, 20), t=st.integers(1, 12))
+    def test_per_slot_step_matches_reference(self, seed, n, t):
+        # the scale-free schedule hands one step per slot
+        rng = np.random.default_rng(seed)
+        args = customer_inputs(rng, n, t)
+        q = args[0].sum(axis=0) * rng.uniform(0.0, 1.5, size=n)
+        eta2 = rng.uniform(1e-3, 1e3, size=t)
+        assert_same_bits(_kernels.te_phase(*args, q, eta2),
+                         te_phase_reference(*args, q, eta2))
 
 
 LIVENESS = ("dead", "brink", "edge", "saturated", "sloped")
@@ -306,26 +338,26 @@ DEAD = ("dead", "brink")
 
 
 def mixed_market(rng, n, t, kinds):
-    """Customer-phase inputs whose pairs are each, at random among
+    """T x N customer-phase inputs whose pairs are each, at random among
     ``kinds``: dead (alpha base > w), dead by one ulp (w the float just
     below alpha base), at the edge (alpha base == w exactly), live but
     flat at the demand (alpha base <= w <= alpha x) or live and sloped
     (alpha x < w). A fifth of the demands are exactly zero, so some edge
     pairs sit at alpha x == w and some brink pairs one ulp above it.
     Returns the inputs and the mask of live pairs."""
-    chi = rng.uniform(0.0, 3.0, size=(n, t))
-    chi[rng.random((n, t)) < 0.2] = 0.0
-    base = rng.uniform(0.1, 3.0, size=(n, t))
-    alpha = rng.uniform(0.1, 0.9, size=(n, t))
+    chi = rng.uniform(0.0, 3.0, size=(t, n))
+    chi[rng.random((t, n)) < 0.2] = 0.0
+    base = rng.uniform(0.1, 3.0, size=(t, n))
+    alpha = rng.uniform(0.1, 0.9, size=(t, n))
     at_base = alpha * base
     at_x = alpha * (chi + base)
-    kind = rng.choice(np.array(sorted(kinds)), size=(n, t))
+    kind = rng.choice(np.array(sorted(kinds)), size=(t, n))
     w = np.select([kind == "dead", kind == "brink", kind == "edge",
                    kind == "saturated"],
                   [0.5 * at_base, np.nextafter(at_base, 0.0), at_base,
                    0.5 * (at_base + at_x)],
-                  at_x + rng.uniform(0.1, 3.0, size=(n, t)))
-    load = chi.sum(axis=0) + base.sum(axis=0)
+                  at_x + rng.uniform(0.1, 3.0, size=(t, n)))
+    load = chi.sum(axis=1) + base.sum(axis=1)
     totals = rng.uniform(1.0, 50.0, size=t)
     return (chi, base, w, alpha, load, totals), ~np.isin(kind, DEAD)
 
@@ -348,7 +380,7 @@ class TestLivePairs:
         rng = np.random.default_rng(seed)
         args, live_mask = mixed_market(rng, n, t, kinds)
         chi, base, w, alpha = args[:4]
-        q = chi.sum(axis=1) * rng.uniform(0.0, 1.5, size=n)
+        q = chi.sum(axis=0) * rng.uniform(0.0, 1.5, size=n)
         live = _kernels.any_live(base, w, alpha)
         assert live == live_mask.any()
         want_grad = gradient_reference(*args)
@@ -365,6 +397,8 @@ class TestLivePairs:
         assert_same_bits(_kernels.te_phase(*args, q, eta2, out=out,
                                            grad=grad, scratch=scratch,
                                            live=live), want_phase)
+        # without a live pair the gradient is built in grad alone
+        assert np.isnan(scratch).all() != live
 
     def test_reference_market_has_no_live_pairs(self):
         # with the default ranges (base >= 9660, w <= 1, alpha = 0.5)
@@ -388,9 +422,8 @@ class TestWorkspace:
     @given(seed=seeds, t=st.integers(1, 30), kinds=rows)
     def test_projection_same_bytes(self, seed, t, kinds):
         rng = np.random.default_rng(seed)
-        made = [make_row(rng, shape, total, t) for shape, total in kinds]
-        cand = np.array([v for v, _ in made])
-        totals = np.array([q for _, q in made])
+        cand, totals = columns([make_row(rng, shape, total, t)
+                                for shape, total in kinds])
         before = cand.copy(), totals.copy()
         want = _kernels.project_rows_np(cand, totals)
         out, = dirty(cand, 1)
@@ -409,11 +442,11 @@ class TestWorkspace:
     def test_phase_same_bytes(self, seed, n, t, eta2, kinds):
         rng = np.random.default_rng(seed)
         args = customer_inputs(rng, n, t)
-        # daily totals that leave each stepped row unclipped, clip some
-        # of it, leave about one entry or zero every entry
+        # daily totals that leave each stepped customer unclipped, clip
+        # some of it, leave about one entry or zero every entry
         scale = {"unclipped": 1.0, "clipped": 0.3, "one_left": 1e-3,
                  "zero": 0.0}
-        q = args[0].sum(axis=1) * np.array([scale[k] for k in kinds[:n]])
+        q = args[0].sum(axis=0) * np.array([scale[k] for k in kinds[:n]])
         before = [a.copy() for a in (*args, q)]
         want = _kernels.te_phase(*args, q, eta2)
         out, grad, scratch = dirty(args[0], 3)
@@ -426,22 +459,21 @@ class TestWorkspace:
             assert_same_bits(a, b)
 
     def test_phase_allocates_no_matrix(self):
-        # N=2000, T=24: with a workspace one step allocates only per-row
-        # vectors, a small fraction of one N x T buffer. This holds with
-        # the flag run_dtoa passes, on a generated market (no live pair)
-        # and on one with w raised on a tenth of its pairs, and with the
-        # flag derived on each call.
+        # N=2000, T=24: with a workspace one step allocates only
+        # per-customer vectors, a small fraction of one T x N buffer.
+        # This holds with the flag run_dtoa passes, on a generated market
+        # (no live pair) and on one with w raised on a tenth of its
+        # pairs, and with the flag derived on each call.
         s = generate_scenario(GenerationParams(num_te=2000, seed=1))
-        chi = s.initial_demand
+        chi, base, alpha = (np.ascontiguousarray(a.T) for a in (
+            s.initial_demand, s.base_demand, s.utility_alpha))
         raised = np.where(np.random.default_rng(0).random(chi.shape) < 0.1,
-                          s.utility_alpha * (s.base_demand + chi),
-                          s.utility_w)
-        for w in (s.utility_w, raised):
-            args = (chi, s.base_demand, w, s.utility_alpha,
-                    (chi + s.base_demand).sum(axis=0),
-                    np.full(chi.shape[1], s.num_es * s.solver.lambda_init),
+                          alpha * (base + chi), s.utility_w.T)
+        for w in (np.ascontiguousarray(s.utility_w.T), raised):
+            args = (chi, base, w, alpha, (chi + base).sum(axis=1),
+                    np.full(chi.shape[0], s.num_es * s.solver.lambda_init),
                     s.shiftable_total, 0.01)
-            live = _kernels.any_live(s.base_demand, w, s.utility_alpha)
+            live = _kernels.any_live(base, w, alpha)
             assert live == (w is raised)
             for given_live in (live, None):
                 out, grad, scratch = dirty(chi, 3)
