@@ -133,11 +133,9 @@ def _supplier_step(lam: np.ndarray, totals: np.ndarray, load: np.ndarray,
     overflow at some slot, or when the step is too large for a finite
     norm (reported at the slot with the largest move).
     """
-    if cfg.eta1_init is None:
-        with np.errstate(over="ignore"):
-            eta1 = eta1 * totals * totals / load
     new, totals, price, bad = _kernels.es_phase(
-        lam, load, a2, a1, eta1, cfg.singularity_delta, totals=totals)
+        lam, load, a2, a1, eta1, cfg.singularity_delta, totals=totals,
+        scaled=cfg.eta1_init is None)
     if bad >= 0:
         what = ("collapsed to zero" if np.isfinite(totals[bad])
                 else "overflowed")
@@ -251,7 +249,7 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     iterations = 0
     base_load = base_t.sum(axis=1)
     for g in range(1, cfg.max_iterations + 1):
-        load = chi.sum(axis=1)
+        load = np.add.reduce(chi, axis=1)
         load += base_load
         lam, totals, price, bid_delta = _supplier_step(
             lam, totals, load, a2, a1, eta1, cfg, g)

@@ -96,17 +96,20 @@ def es_direction_reference(lam, load, a2, a1, delta):
     return np.where(guard, -price, price - (load - f) / denom * marginal)
 
 
-def es_phase_reference(lam, load, a2, a1, eta1, delta, totals=None):
+def es_phase_reference(lam, load, a2, a1, eta1, delta, totals=None,
+                       scaled=False):
     """(new_bids, new_bid_totals, price, bad_slot) in fresh arrays: the
     price is the refreshed one, or the one before the step when a slot's
     new bids collapse or overflow; a slot whose bids already sum to zero
     returns the bids unchanged with their totals in place of a price.
     Bid totals the caller carries are ignored: the bids are summed
-    afresh."""
+    afresh. With ``scaled`` the step is eta1 * totals**2 / load."""
     totals = lam.sum(axis=0)
     if np.any(totals <= 0.0):
         return lam, totals, totals, int(np.argmax(totals <= 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
+        if scaled:
+            eta1 = eta1 * totals * totals / load
         new_lam = np.maximum(
             lam + eta1 * es_direction_reference(lam, load, a2, a1, delta),
             0.0)
@@ -570,7 +573,8 @@ class TestSupplierPhaseExact:
     formulas, on every path: an ordinary step, a share at or beyond
     (1/2 - delta) of the load, a slot whose bids already sum to zero, a
     step that clips every bid of a slot to zero and a step that
-    overflows."""
+    overflows; each with the step as given and with the step sized per
+    slot (``scaled``)."""
 
     @deterministic
     @given(seed=seeds, m=st.integers(2, 8), t=st.integers(1, 12),
@@ -610,6 +614,13 @@ class TestSupplierPhaseExact:
                 assert want[1][want[3]] == 0.0
             elif case == "overflowing":
                 assert want[1][want[3]] == np.inf
+        # the step sized per slot from the bid total and the load
+        want = es_phase_reference(lam, load, a2, a1, eta1, delta,
+                                  scaled=True)
+        got = _kernels.es_phase(lam, load, a2, a1, eta1, delta, scaled=True)
+        for g, w in zip(got[:3], want[:3]):
+            assert_same_bits(g, w)
+        assert got[3] == want[3]
         if case != "collapsed":
             assert_same_bits(_kernels.es_direction(lam, load, a2, a1, delta),
                              es_direction_reference(lam, load, a2, a1, delta))
