@@ -66,15 +66,15 @@ def project_rows_np(cand: np.ndarray, totals: np.ndarray, *,
     not overlap ``cand``.
     """
     t = cand.shape[0]
-    theta = np.add.reduce(cand, axis=0)
+    theta = cand.sum(axis=0)
     theta -= totals
     theta /= float(t)
     out = np.subtract(cand, theta, out=out)
     # min propagates NaN, so a NaN theta or entry fails the test as well;
     # a theta of +inf leaves an entry of -inf (or NaN), one of -inf fails
     # the first test
-    if not (np.minimum.reduce(theta, initial=np.inf) > -np.inf
-            and np.minimum.reduce(out, axis=None, initial=0.0) >= 0.0):
+    if not (theta.min(initial=np.inf) > -np.inf
+            and out.min(initial=0.0) >= 0.0):
         slow = ~(np.isfinite(theta) & (out >= 0.0).all(axis=0))
         out[:, slow] = _project_sorted(
             cand[:, slow], np.broadcast_to(totals, theta.shape)[slow])
@@ -146,8 +146,8 @@ def es_phase(lam, load, a2, a1, eta1, delta, *, totals=None, scaled=False):
     Lambda_t being the slot's bid total, which may overflow to inf.
     """
     if totals is None:
-        totals = np.add.reduce(lam, axis=0)
-    if not np.minimum.reduce(totals, initial=np.inf) > 0.0:
+        totals = lam.sum(axis=0)
+    if not totals.min(initial=np.inf) > 0.0:
         low = totals <= 0.0
         if low.any():
             return lam, totals, totals, int(np.argmax(low))
@@ -159,11 +159,11 @@ def es_phase(lam, load, a2, a1, eta1, delta, *, totals=None, scaled=False):
         new_lam *= eta1
         new_lam += lam
         np.maximum(new_lam, 0.0, out=new_lam)
-        new_totals = np.add.reduce(new_lam, axis=0)
+        new_totals = new_lam.sum(axis=0)
     # the totals are >= 0, inf or NaN: all are good when the least is
     # positive and the greatest finite, and min and max propagate NaN
-    if not (np.minimum.reduce(new_totals, initial=np.inf) > 0.0
-            and np.maximum.reduce(new_totals, initial=0.0) < np.inf):
+    if not (new_totals.min(initial=np.inf) > 0.0
+            and new_totals.max(initial=0.0) < np.inf):
         bad = ~(np.isfinite(new_totals) & (new_totals > 0.0))
         return new_lam, new_totals, price, int(np.argmax(bad))
     return new_lam, new_totals, load / new_totals, -1

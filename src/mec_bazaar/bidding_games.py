@@ -249,7 +249,7 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     iterations = 0
     base_load = base_t.sum(axis=1)
     for g in range(1, cfg.max_iterations + 1):
-        load = np.add.reduce(chi, axis=1)
+        load = chi.sum(axis=1)
         load += base_load
         lam, totals, price, bid_delta = _supplier_step(
             lam, totals, load, a2, a1, eta1, cfg, g)
