@@ -70,12 +70,10 @@ def project_rows_np(cand: np.ndarray, totals: np.ndarray, *,
     theta -= totals
     theta /= float(t)
     out = np.subtract(cand, theta, out=out)
-    # min propagates NaN, so a NaN theta or entry fails the test as well;
-    # a theta of +inf leaves an entry of -inf (or NaN), one of -inf fails
-    # the first test
-    if not (theta.min(initial=np.inf) > -np.inf
-            and out.min(initial=0.0) >= 0.0):
-        slow = ~(np.isfinite(theta) & (out >= 0.0).all(axis=0))
+    finite = np.isfinite(theta)
+    # min propagates NaN, so a NaN entry fails the test as well
+    if not (finite.all() and out.min(initial=0.0) >= 0.0):
+        slow = ~(finite & (out >= 0.0).all(axis=0))
         out[:, slow] = _project_sorted(
             cand[:, slow], np.broadcast_to(totals, theta.shape)[slow])
     return out
@@ -116,55 +114,39 @@ def es_direction(lam, load, a2, a1, delta, *, price=None):
         price = load / lam.sum(axis=0)
     f = lam * price
     guard = f >= (0.5 - delta) * load
-    guarded = guard.any()
     denom = 2.0 * f
     np.subtract(load, denom, out=denom)
-    if guarded:
-        denom[guard] = 1.0
+    denom[guard] = 1.0
     marginal = 2.0 * a2[:, None] * f
     marginal += a1[:, None]
     out = np.subtract(load, f, out=f)
     out /= denom
     out *= marginal
     np.subtract(price, out, out=out)
-    if guarded:
-        np.copyto(out, -price, where=guard)
+    np.copyto(out, -price, where=guard)
     return out
 
 
-def es_phase(lam, load, a2, a1, eta1, delta, *, totals=None, scaled=False):
+def es_phase(lam, load, a2, a1, eta1, delta, *, totals):
     """One simultaneous bid-ascent step for every supplier at every slot.
 
     Returns (new_bids, new_bid_totals, refreshed_price, bad_slot) where
     bad_slot is the first slot whose bids sum to zero or overflow to a
     non-finite total (-1 if none). Bids step along ``es_direction`` and
     are clipped at zero. ``totals`` is the per-slot sum of ``lam``, as
-    the previous step returned it; it is summed when not given.
-
-    ``eta1`` is the step, a scalar or one per slot; with ``scaled`` set
-    it is the multiplier of the per-slot step eta1 * Lambda_t**2 / L_t,
-    Lambda_t being the slot's bid total, which may overflow to inf.
+    the previous step returned it.
     """
-    if totals is None:
-        totals = lam.sum(axis=0)
-    if not totals.min(initial=np.inf) > 0.0:
-        low = totals <= 0.0
-        if low.any():
-            return lam, totals, totals, int(np.argmax(low))
+    if (totals <= 0.0).any():
+        return lam, totals, totals, int(np.argmax(totals <= 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        if scaled:
-            eta1 = eta1 * totals * totals / load
         price = load / totals
         new_lam = es_direction(lam, load, a2, a1, delta, price=price)
         new_lam *= eta1
         new_lam += lam
         np.maximum(new_lam, 0.0, out=new_lam)
         new_totals = new_lam.sum(axis=0)
-    # the totals are >= 0, inf or NaN: all are good when the least is
-    # positive and the greatest finite, and min and max propagate NaN
-    if not (new_totals.min(initial=np.inf) > 0.0
-            and new_totals.max(initial=0.0) < np.inf):
-        bad = ~(np.isfinite(new_totals) & (new_totals > 0.0))
+    bad = ~(np.isfinite(new_totals) & (new_totals > 0.0))
+    if bad.any():
         return new_lam, new_totals, price, int(np.argmax(bad))
     return new_lam, new_totals, load / new_totals, -1
 

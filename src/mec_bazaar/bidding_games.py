@@ -113,11 +113,11 @@ def project_simplex(v: np.ndarray, total) -> np.ndarray:
 
 def _frobenius(a: np.ndarray) -> float:
     """Frobenius norm of the matrix ``a``; ``inf`` when its squares
-    overflow (``einsum`` reports no floating-point error, so that needs
-    no ``errstate``). Summed by ``einsum`` rather than BLAS, so the
-    stopping norms, and with them the bundle, do not depend on the BLAS
-    thread count."""
-    return math.sqrt(np.einsum("ij,ij->", a, a))
+    overflow. Summed by ``einsum`` rather than BLAS, so the stopping
+    norms, and with them the bundle, do not depend on the BLAS thread
+    count."""
+    with np.errstate(over="ignore"):
+        return math.sqrt(np.einsum("ij,ij->", a, a))
 
 
 def _supplier_step(lam: np.ndarray, totals: np.ndarray, load: np.ndarray,
@@ -133,9 +133,11 @@ def _supplier_step(lam: np.ndarray, totals: np.ndarray, load: np.ndarray,
     overflow at some slot, or when the step is too large for a finite
     norm (reported at the slot with the largest move).
     """
+    if cfg.eta1_init is None:
+        with np.errstate(over="ignore"):
+            eta1 = eta1 * totals * totals / load
     new, totals, price, bad = _kernels.es_phase(
-        lam, load, a2, a1, eta1, cfg.singularity_delta, totals=totals,
-        scaled=cfg.eta1_init is None)
+        lam, load, a2, a1, eta1, cfg.singularity_delta, totals=totals)
     if bad >= 0:
         what = ("collapsed to zero" if np.isfinite(totals[bad])
                 else "overflowed")

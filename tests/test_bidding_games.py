@@ -103,7 +103,8 @@ class TestEsSurrogateGradient:
         # all bids zero: the phase reports the slot and leaves bids alone
         lam = np.zeros((3, 1))
         new_lam, _, _, bad = es_phase(lam, np.array([5.0]), np.full(3, 0.1),
-                                      np.full(3, 0.1), 0.05, 1e-6)
+                                      np.full(3, 0.1), 0.05, 1e-6,
+                                      totals=lam.sum(axis=0))
         assert bad == 0
         np.testing.assert_array_equal(new_lam, lam)
 
@@ -115,7 +116,8 @@ class TestEsUpdateStep:
 
     def step(self, bids, loads, s, eta1):
         return es_phase(bids, loads, s.cost_coeffs[:, 0], s.cost_coeffs[:, 1],
-                        eta1, s.solver.singularity_delta)
+                        eta1, s.solver.singularity_delta,
+                        totals=bids.sum(axis=0))
 
     def test_fixed_point_at_zero_gradient(self):
         s = self.scenario()

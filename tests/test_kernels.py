@@ -96,20 +96,17 @@ def es_direction_reference(lam, load, a2, a1, delta):
     return np.where(guard, -price, price - (load - f) / denom * marginal)
 
 
-def es_phase_reference(lam, load, a2, a1, eta1, delta, totals=None,
-                       scaled=False):
+def es_phase_reference(lam, load, a2, a1, eta1, delta, *, totals):
     """(new_bids, new_bid_totals, price, bad_slot) in fresh arrays: the
     price is the refreshed one, or the one before the step when a slot's
     new bids collapse or overflow; a slot whose bids already sum to zero
     returns the bids unchanged with their totals in place of a price.
     Bid totals the caller carries are ignored: the bids are summed
-    afresh. With ``scaled`` the step is eta1 * totals**2 / load."""
+    afresh."""
     totals = lam.sum(axis=0)
     if np.any(totals <= 0.0):
         return lam, totals, totals, int(np.argmax(totals <= 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        if scaled:
-            eta1 = eta1 * totals * totals / load
         new_lam = np.maximum(
             lam + eta1 * es_direction_reference(lam, load, a2, a1, delta),
             0.0)
@@ -545,14 +542,15 @@ class TestPhaseParity:
         lam = np.zeros((3, 4))
         lam[:, :2] = 1.0
         out = _kernels.es_phase(lam, np.ones(4), np.full(3, 1e-4),
-                                np.full(3, 1e-3), 0.05, 1e-6)
+                                np.full(3, 1e-3), 0.05, 1e-6,
+                                totals=lam.sum(axis=0))
         assert out[3] == 2
 
     def test_es_phase_zero_load_freezes_bids(self):
         lam = np.full((3, 2), 7.0)
         out = _kernels.es_phase(lam, np.array([0.0, 0.0]),
                                 np.full(3, 1e-4), np.full(3, 1e-3),
-                                0.05, 1e-6)
+                                0.05, 1e-6, totals=lam.sum(axis=0))
         np.testing.assert_array_equal(out[0], lam)
         np.testing.assert_array_equal(out[2], [0.0, 0.0])
 
@@ -564,7 +562,8 @@ class TestPhaseParity:
         a2 = np.array([0.01, 0.01, 0.01])
         direction = _kernels.es_direction(lam, load, a2, np.zeros(3), 1e-6)
         assert direction[0, 0] == -1.0
-        out = _kernels.es_phase(lam, load, a2, np.zeros(3), 1.0, 1e-6)
+        out = _kernels.es_phase(lam, load, a2, np.zeros(3), 1.0, 1e-6,
+                                totals=lam.sum(axis=0))
         assert out[0][0, 0] == 9.0
 
 
@@ -573,8 +572,7 @@ class TestSupplierPhaseExact:
     formulas, on every path: an ordinary step, a share at or beyond
     (1/2 - delta) of the load, a slot whose bids already sum to zero, a
     step that clips every bid of a slot to zero and a step that
-    overflows; each with the step as given and with the step sized per
-    slot (``scaled``)."""
+    overflows."""
 
     @deterministic
     @given(seed=seeds, m=st.integers(2, 8), t=st.integers(1, 12),
@@ -601,8 +599,11 @@ class TestSupplierPhaseExact:
             a2, eta1 = np.full(m, 1e3), 1e12
         elif case == "overflowing":
             a2, a1, eta1 = np.full(m, 1e-12), np.zeros(m), 1e308
-        want = es_phase_reference(lam, load, a2, a1, eta1, delta)
-        got = _kernels.es_phase(lam, load, a2, a1, eta1, delta)
+        totals = lam.sum(axis=0)
+        want = es_phase_reference(lam, load, a2, a1, eta1, delta,
+                                  totals=totals)
+        got = _kernels.es_phase(lam, load, a2, a1, eta1, delta,
+                                totals=totals)
         for g, w in zip(got[:3], want[:3]):
             assert_same_bits(g, w)
         assert got[3] == want[3]
@@ -614,13 +615,6 @@ class TestSupplierPhaseExact:
                 assert want[1][want[3]] == 0.0
             elif case == "overflowing":
                 assert want[1][want[3]] == np.inf
-        # the step sized per slot from the bid total and the load
-        want = es_phase_reference(lam, load, a2, a1, eta1, delta,
-                                  scaled=True)
-        got = _kernels.es_phase(lam, load, a2, a1, eta1, delta, scaled=True)
-        for g, w in zip(got[:3], want[:3]):
-            assert_same_bits(g, w)
-        assert got[3] == want[3]
         if case != "collapsed":
             assert_same_bits(_kernels.es_direction(lam, load, a2, a1, delta),
                              es_direction_reference(lam, load, a2, a1, delta))
