@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
+LEMMA1_MARGIN = 1e-6  # es_direction clamps a share of (1/2 - this) load
+
 
 def _per_slot(v):
     """A per-slot vector as a column, so that it broadcasts across the
@@ -97,15 +99,16 @@ def _project_sorted(cand, totals):
     return out
 
 
-def es_direction(lam, load, a2, a1, delta, *, price=None):
+def es_direction(lam, load, a2, a1, *, price=None):
     """Every supplier's bid-ascent direction at every slot.
 
     price - ((L-f)/(L-2f)) * C'(f) with f the proportional share. On the
     Lemma-1 region f < L/2 this has the sign of the true profit
     derivative (they differ by the positive factor (L-2f)/sum(bids)).
-    Once a share reaches (1/2 - delta) of the load the factor blows up,
-    so the direction is clamped to -price, pushing the bid back toward
-    the stable region. The bids of each slot must not sum to zero.
+    Once a share reaches (1/2 - LEMMA1_MARGIN) of the load the factor
+    blows up, so the direction is clamped to -price, pushing the bid
+    back toward the stable region. The bids of each slot must not sum
+    to zero.
 
     ``price`` is the per-slot clearing price load / sum(bids); it is
     computed when not given.
@@ -113,7 +116,7 @@ def es_direction(lam, load, a2, a1, delta, *, price=None):
     if price is None:
         price = load / lam.sum(axis=0)
     f = lam * price
-    guard = f >= (0.5 - delta) * load
+    guard = f >= (0.5 - LEMMA1_MARGIN) * load
     denom = 2.0 * f
     np.subtract(load, denom, out=denom)
     denom[guard] = 1.0
@@ -127,7 +130,7 @@ def es_direction(lam, load, a2, a1, delta, *, price=None):
     return out
 
 
-def es_phase(lam, load, a2, a1, eta1, delta, *, totals):
+def es_phase(lam, load, a2, a1, eta1, *, totals):
     """One simultaneous bid-ascent step for every supplier at every slot.
 
     Returns (new_bids, new_bid_totals, refreshed_price, bad_slot) where
@@ -140,7 +143,7 @@ def es_phase(lam, load, a2, a1, eta1, delta, *, totals):
         return lam, totals, totals, int(np.argmax(totals <= 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
         price = load / totals
-        new_lam = es_direction(lam, load, a2, a1, delta, price=price)
+        new_lam = es_direction(lam, load, a2, a1, price=price)
         new_lam *= eta1
         new_lam += lam
         np.maximum(new_lam, 0.0, out=new_lam)

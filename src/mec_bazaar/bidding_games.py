@@ -136,8 +136,8 @@ def _supplier_step(lam: np.ndarray, totals: np.ndarray, load: np.ndarray,
     if cfg.eta1_init is None:
         with np.errstate(over="ignore"):
             eta1 = eta1 * totals * totals / load
-    new, totals, price, bad = _kernels.es_phase(
-        lam, load, a2, a1, eta1, cfg.singularity_delta, totals=totals)
+    new, totals, price, bad = _kernels.es_phase(lam, load, a2, a1, eta1,
+                                                totals=totals)
     if bad >= 0:
         what = ("collapsed to zero" if np.isfinite(totals[bad])
                 else "overflowed")
@@ -171,22 +171,13 @@ def _check_lemma1(bids: np.ndarray, iteration: int) -> None:
             f"iteration {iteration}", slot=slot, iteration=iteration)
 
 
-def _threshold(cfg: SolverConfig, current: np.ndarray) -> float:
-    """Stopping bound for one game's step: epsilon, scaled by the norm of
-    the freshly updated matrix when ``relative_stopping`` is set."""
-    if cfg.relative_stopping:
-        return cfg.epsilon * max(_frobenius(current), 1e-300)
-    return cfg.epsilon
-
-
 def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     """Iterate both games from the scenario's initial profiles.
 
     The run is converged once, in the same iteration, the demand step and
-    the bid step are both below ``epsilon`` in Frobenius norm (each
-    relative to its own matrix's norm when ``relative_stopping`` is set).
-    A settled demand alone is not enough: the supplier game may still be
-    moving toward its fixed point at that load. Converged bids outside
+    the bid step are both below ``epsilon`` in Frobenius norm. A settled
+    demand alone is not enough: the supplier game may still be moving
+    toward its fixed point at that load. Converged bids outside
     Lemma 1's region raise :class:`DegenerateMarketError`
     (``_check_lemma1``), as do bids that collapse or overflow.
 
@@ -271,8 +262,7 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
         iterations = g
         eta1 *= cfg.eta1_decay
         eta2 *= cfg.eta2_decay
-        if (delta < _threshold(cfg, chi)
-                and bid_delta < _threshold(cfg, lam)):
+        if delta < cfg.epsilon and bid_delta < cfg.epsilon:
             status = STATUS_CONVERGED
             break
 
@@ -322,7 +312,7 @@ def supplier_fixed_point(loads: np.ndarray, cost_coeffs: np.ndarray,
                                                eta1, solver, g)
         iterations = g
         eta1 *= solver.eta1_decay
-        if delta < _threshold(solver, lam):
+        if delta < solver.epsilon:
             converged = True
             break
     if converged:

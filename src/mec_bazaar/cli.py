@@ -92,10 +92,7 @@ def _fail(code: int, message: str) -> int:
 
 
 def _parse_value(text: str):
-    lowered = text.strip().lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered == "null":
+    if text.strip().lower() == "null":
         return None
     try:
         return int(text)
@@ -127,9 +124,9 @@ _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 def _number(key: str, value) -> float:
-    """A generation parameter's value as a float; booleans, text and
-    integers too large for a float are refused, naming the key."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A generation parameter's value as a float; text and integers too
+    large for a float are refused, naming the key."""
+    if not isinstance(value, (int, float)):
         raise DomainError(f"parameter {key!r} must be a number, "
                           f"got {value!r}")
     try:
@@ -441,6 +438,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except DegenerateMarketError as exc:
+        return _fail(EXIT_DEGENERATE, f"degenerate market: {exc}")
     except MarketError as exc:
         return _fail(EXIT_USAGE, str(exc))
 

@@ -311,7 +311,6 @@ def check_gradients(scenario: Scenario, n_samples: int = 100,
     base = scenario.base_demand
     w, alpha = scenario.utility_w, scenario.utility_alpha
     a2, a1 = scenario.cost_coeffs[:, 0], scenario.cost_coeffs[:, 1]
-    guard = scenario.solver.singularity_delta
     max_te = 0.0
     max_es = 0.0
     agree = 0
@@ -347,7 +346,7 @@ def check_gradients(scenario: Scenario, n_samples: int = 100,
         coeffs = scenario.cost_coeffs[j]
         f_j = lam_col[j] * load / total
         surrogate = float(_kernels.es_direction(
-            lam[:, t:t + 1], load, a2, a1, guard)[j, 0])
+            lam[:, t:t + 1], load, a2, a1)[j, 0])
         hl = 1e-6 * lam_col[j]
 
         def profit_at(v: float) -> float:
@@ -357,7 +356,7 @@ def check_gradients(scenario: Scenario, n_samples: int = 100,
 
         fd_p = (profit_at(lam_col[j] + hl)
                 - profit_at(lam_col[j] - hl)) / (2 * hl)
-        if f_j < (0.5 - guard) * load:
+        if f_j < (0.5 - _kernels.LEMMA1_MARGIN) * load:
             interior += 1
             analytic_p = (load - 2.0 * f_j) / total * surrogate
             max_es = max(max_es, _rel_err(analytic_p, fd_p))

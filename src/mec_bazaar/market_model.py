@@ -40,8 +40,7 @@ __all__ = [
 # Domain types
 # --------------------------------------------------------------------------
 
-_FIELD_KINDS = {"bool": "true or false", "int": "an integer",
-                "float": "a finite number",
+_FIELD_KINDS = {"int": "an integer", "float": "a finite number",
                 "float | None": "a finite number or null"}
 
 
@@ -53,12 +52,11 @@ class SolverConfig:
     both shrink geometrically once per outer iteration. An ``eta*_init``
     of None (the default) sizes that step per slot from the slot's own
     bid total and load (``bidding_games.C1`` and ``C2`` times the decay);
-    a number is an absolute step. The loop stops as
-    soon as, in one iteration, the Frobenius distance between consecutive
-    demand matrices and the one between consecutive bid matrices both
-    fall below ``epsilon`` (each divided by the norm of its current
-    matrix when ``relative_stopping`` is set). The supplier game alone
-    (``supplier_fixed_point``) stops on the bid half of that rule.
+    a number is an absolute step. The loop stops as soon as, in one
+    iteration, the Frobenius distance between consecutive demand
+    matrices and the one between consecutive bid matrices both fall
+    below ``epsilon``. The supplier game alone (``supplier_fixed_point``)
+    stops on the bid half of that rule.
     """
 
     eta1_init: float | None = None
@@ -68,8 +66,6 @@ class SolverConfig:
     epsilon: float = 0.3
     lambda_init: float = 20000.0
     max_iterations: int = 5000
-    singularity_delta: float = 1e-6
-    relative_stopping: bool = False
 
     def validate(self) -> None:
         # Types first: a string, NaN or bool would slip past (or crash)
@@ -78,9 +74,7 @@ class SolverConfig:
             value = getattr(self, f.name)
             if value is None and f.type == "float | None":
                 continue
-            if f.type == "bool":
-                ok = isinstance(value, bool)
-            elif isinstance(value, bool):
+            if isinstance(value, bool):
                 ok = False
             elif f.type == "int":
                 ok = isinstance(value, Integral)
@@ -105,8 +99,6 @@ class SolverConfig:
             raise DomainError("lambda_init must be nonnegative")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
-        if not (0 <= self.singularity_delta < 0.5):
-            raise DomainError("singularity_delta must lie in [0, 0.5)")
 
 
 ROW_SUM_TOL = 1e-9  # a feasible demand row's relative miss of its total

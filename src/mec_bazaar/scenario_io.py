@@ -32,6 +32,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import stat
 from dataclasses import dataclass, field
 
@@ -237,6 +238,9 @@ def save_scenario(path, scenario: Scenario,
         pass
 
 
+# solver keys no longer in SolverConfig, each with the one value every run
+# held it at: a file may still hold that value, and the key is dropped
+_RETIRED_SOLVER_KEYS = {"relative_stopping": False, "singularity_delta": 1e-6}
 _TABLES = ("cost_coeffs", "utility_alpha", "utility_w", "base_demand",
            "shiftable_total", "initial_demand")
 _WHITESPACE = json.decoder.WHITESPACE.match
@@ -355,7 +359,8 @@ def load_scenario(path, *, with_digest: bool = False):
     (scenario, sha256 of the file's bytes).
 
     Malformed JSON, missing fields, wrong shapes and violated invariants
-    all raise :class:`ScenarioFormatError` naming the offending field;
+    all raise :class:`ScenarioFormatError` naming the offending field, as
+    does a retired solver key at other than its one old value;
     an unsupported ``schema_version`` raises :class:`SchemaVersionError`.
     """
     found = _read_companion(path)
@@ -390,18 +395,29 @@ def load_scenario(path, *, with_digest: bool = False):
         if name not in doc:
             raise ScenarioFormatError(f"{path}: missing field {name!r}",
                                       field=name)
+    block = doc["solver"]
+    if isinstance(block, dict):  # a fresh parse: the keys may be popped
+        for key, old in _RETIRED_SOLVER_KEYS.items():
+            value = block.pop(key, old)
+            if type(value) is not type(old) or value != old:
+                raise ScenarioFormatError(
+                    f"{path}: solver.{key} is retired and may only be "
+                    f"{json.dumps(old)}, got {reprlib.repr(value)}",
+                    field="solver")
     try:
-        solver = SolverConfig(**doc["solver"])
+        solver = SolverConfig(**block)
     except TypeError as exc:
         raise ScenarioFormatError(f"{path}: bad solver block ({exc})",
                                   field="solver")
     counts = {}
     for name in ("num_es", "num_te", "num_slots", "seed"):
-        try:
-            counts[name] = int(doc[name])
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ScenarioFormatError(
-                f"{path}: {name} is not an integer ({exc})", field=name)
+        value = doc[name]
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if type(value) is not int:  # a boolean, a fraction, text, ...
+            raise ScenarioFormatError(f"{path}: {name} is not an integer, "
+                                      f"got {reprlib.repr(value)}", field=name)
+        counts[name] = value
     try:
         scenario = Scenario(
             cost_coeffs=np.asarray(doc["cost_coeffs"], dtype=float),

@@ -9,14 +9,12 @@ of that exact configuration; the tests implement the stated tolerances
 verbatim and report honest outcomes.
 """
 
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
+from conftest import cli
 from mec_bazaar.bidding_games import (
     STATUS_CONVERGED,
     run_dtoa,
@@ -294,19 +292,14 @@ def test_criterion_11_sensitivity_trends():
 
 def test_criterion_12_determinism(tmp_path):
     scn = tmp_path / "det.json"
-    gen = subprocess.run(
-        [sys.executable, "-m", "mec_bazaar.cli", "gen", "--seed", "1",
-         "-o", str(scn)], capture_output=True, text=True)
+    gen = cli("gen", "--seed", "1", "-o", str(scn))
     assert gen.returncode == 0, gen.stderr
     digests = {}
     # the BLAS thread count is the one that could reorder a sum
     for threads in (1, 8):
         out_dir = tmp_path / f"t{threads}"
-        run = subprocess.run(
-            [sys.executable, "-m", "mec_bazaar.cli", "run", "--scenario",
-             str(scn), "--out-dir", str(out_dir)], capture_output=True,
-            text=True,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)})
+        run = cli("run", "--scenario", str(scn), "--out-dir", str(out_dir),
+                  env={"OPENBLAS_NUM_THREADS": str(threads)})
         assert run.returncode == 0, run.stderr
         digests[threads] = {
             name: (out_dir / name).read_bytes()

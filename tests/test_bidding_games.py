@@ -47,11 +47,11 @@ def projection_reference(v, total, tol=1e-13):
     return np.maximum(v - 0.5 * (lo + hi), 0.0)
 
 
-def surrogate(lam, j, load, coeffs, delta=1e-6):
+def surrogate(lam, j, load, coeffs):
     """Supplier j's direction from the kernel, on one slot's bid column."""
     m = lam.size
     return es_direction(lam[:, None], np.array([load]), np.full(m, coeffs[0]),
-                        np.full(m, coeffs[1]), delta)[j, 0]
+                        np.full(m, coeffs[1]))[j, 0]
 
 
 def slot_gradient(chi, base, i, t, lam, w, alpha):
@@ -103,7 +103,7 @@ class TestEsSurrogateGradient:
         # all bids zero: the phase reports the slot and leaves bids alone
         lam = np.zeros((3, 1))
         new_lam, _, _, bad = es_phase(lam, np.array([5.0]), np.full(3, 0.1),
-                                      np.full(3, 0.1), 0.05, 1e-6,
+                                      np.full(3, 0.1), 0.05,
                                       totals=lam.sum(axis=0))
         assert bad == 0
         np.testing.assert_array_equal(new_lam, lam)
@@ -116,8 +116,7 @@ class TestEsUpdateStep:
 
     def step(self, bids, loads, s, eta1):
         return es_phase(bids, loads, s.cost_coeffs[:, 0], s.cost_coeffs[:, 1],
-                        eta1, s.solver.singularity_delta,
-                        totals=bids.sum(axis=0))
+                        eta1, totals=bids.sum(axis=0))
 
     def test_fixed_point_at_zero_gradient(self):
         s = self.scenario()

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import child_env, cli
 from mec_bazaar.cli import build_parser
 from mec_bazaar.scenario_io import GenerationParams, generate_scenario, save_scenario
 from mec_bazaar.market_model import SolverConfig
@@ -19,11 +20,6 @@ from mec_bazaar.market_model import SolverConfig
 README = Path(__file__).resolve().parents[1] / "README.md"
 DATA = Path(__file__).resolve().parent / "data"
 HUGE = 10 ** 400  # an integer too large for a float
-
-
-def cli(*args, cwd=None, env=None):
-    return subprocess.run([sys.executable, "-m", "mec_bazaar.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def error_line(out) -> str:
@@ -95,7 +91,8 @@ class TestGen:
                 [sys.executable, "-m", "mec_bazaar.cli", "gen", "--tes", "2",
                  "--ess", "2", "--slots", "2", "-o", "/dev/stdout"],
                 stdout=subprocess.PIPE if sink == "pipe" else fh,
-                stderr=subprocess.PIPE, text=True, timeout=120)
+                stderr=subprocess.PIPE, text=True, timeout=120,
+                env=child_env())
         assert out.returncode == 0, out.stderr
         if sink == "pipe":
             text, path = out.stdout.splitlines()
@@ -127,7 +124,7 @@ class TestGen:
         path = tmp_path / "ref.json"
         assert cli("gen", "--seed", "1", "-o", str(path)).returncode == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "22dd241f1b3e5e84a58253d6abb245bce60efbf5a049d957fb1f183209c78028")
+            "a3dcedf2fd8f9d9daac126074dc9380a317c14fb8360053700b9bcebb91d1e26")
 
     def test_param_overrides(self, tmp_path):
         path = tmp_path / "p.json"
@@ -225,7 +222,7 @@ class TestRun:
         bundles = []
         for threads in ("1", "2"):
             out_dir = tmp_path / f"blas{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env = {"OPENBLAS_NUM_THREADS": threads}
             out = cli("run", "--scenario", str(path), "--out-dir",
                       str(out_dir), env=env)
             assert out.returncode == 0, out.stderr
@@ -326,7 +323,10 @@ class TestRun:
                                        "solver.eta2_init=true",
                                        "solver.eta1_init=nan",
                                        "solver.eta2_init=0",
-                                       "solver.eta1_init=-0.05"])
+                                       "solver.eta1_init=-0.05",
+                                       # retired keys are unknown keys
+                                       "solver.singularity_delta=1e-6",
+                                       "solver.relative_stopping=false"])
     def test_mistyped_override(self, small_scenario, tmp_path, param):
         out = cli("run", "--scenario", str(small_scenario), "--out-dir",
                   str(tmp_path / "o"), "--param", param)
@@ -344,6 +344,9 @@ class TestRun:
 
     @pytest.mark.parametrize("field,value", [("epsilon", "abc"),
                                              ("relative_stopping", "yes"),
+                                             ("relative_stopping", True),
+                                             ("relative_stopping", 0),
+                                             ("singularity_delta", 0.01),
                                              ("eta1_init", "abc"),
                                              ("eta2_init", True),
                                              ("eta1_init", float("nan")),
@@ -360,6 +363,21 @@ class TestRun:
         assert out.returncode == 1
         assert f"solver.{field}" in error_line(out)
         assert "Traceback" not in out.stderr
+
+    def test_retired_solver_keys_at_old_values(self, small_scenario,
+                                               small_bundle, tmp_path):
+        # a file written before the two keys were retired holds each at
+        # its one value; it loads, and runs to the same bundle
+        doc = json.loads(small_scenario.read_text())
+        doc["solver"].update(singularity_delta=1e-6, relative_stopping=False)
+        path = tmp_path / "older.json"
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        out = cli("run", "--scenario", str(path), "--out-dir", str(out_dir))
+        assert out.returncode == 0, out.stderr
+        for name in ("result.json", "trace.csv", "demands.csv", "bids.csv"):
+            assert ((out_dir / name).read_bytes()
+                    == (small_bundle / name).read_bytes()), name
 
     def test_null_steps_accepted(self, small_scenario, small_bundle,
                                  tmp_path):
@@ -542,7 +560,9 @@ class TestMalformedScenario:
 
     @pytest.mark.parametrize("name,value", [("num_es", [10]),
                                             ("num_te", float("inf")),
-                                            ("seed", "x")])
+                                            ("seed", "x"),
+                                            ("num_es", 3.9),
+                                            ("seed", True)])
     def test_bad_count_or_seed_named(self, small_scenario, tmp_path,
                                      command, name, value):
         out = load_with(command, self.write(
@@ -726,6 +746,25 @@ class TestOracle:
         feasibility = json.loads(report_path.read_text())["feasibility"]
         assert (feasibility["max_row_sum_error"] <= 1e-9
                 and feasibility["min_demand"] >= 0) == (code == 0)
+
+    def test_zero_bid_slot_is_degenerate(self, tmp_path):
+        # a bundle whose bids sum to zero at a slot has no price there
+        scn, run_dir = tmp_path / "s.json", tmp_path / "run"
+        assert cli("gen", "--seed", "2", "--tes", "5", "--ess", "3",
+                   "--slots", "4", "-o", str(scn)).returncode == 0
+        assert cli("run", "--scenario", str(scn), "--out-dir",
+                   str(run_dir)).returncode == 0
+        lines = (run_dir / "bids.csv").read_text().splitlines()
+        lines[1:] = [line[:line.rindex(",")] + ",0.0"
+                     if line.split(",")[1] == "0" else line
+                     for line in lines[1:]]
+        (run_dir / "bids.csv").write_text("\n".join(lines) + "\n")
+        report_path = tmp_path / "r.json"
+        out = cli("oracle", "--scenario", str(scn), "--result",
+                  str(run_dir), "-o", str(report_path))
+        assert out.returncode == 4
+        assert "all bids are zero at slot 0" in error_line(out)
+        assert not report_path.exists()
 
     @pytest.mark.parametrize("seed, slot", [("-1", None), ("-5", "4")])
     def test_negative_seed(self, tmp_path, seed, slot):

@@ -86,17 +86,17 @@ def columns(made):
     return cand, np.array([q for _, q in made])
 
 
-def es_direction_reference(lam, load, a2, a1, delta):
+def es_direction_reference(lam, load, a2, a1):
     totals = lam.sum(axis=0)
     price = load / totals
     f = lam * (load / totals)
-    guard = f >= (0.5 - delta) * load
+    guard = f >= (0.5 - _kernels.LEMMA1_MARGIN) * load
     denom = np.where(guard, 1.0, load - 2.0 * f)
     marginal = 2.0 * a2[:, None] * f + a1[:, None]
     return np.where(guard, -price, price - (load - f) / denom * marginal)
 
 
-def es_phase_reference(lam, load, a2, a1, eta1, delta, *, totals):
+def es_phase_reference(lam, load, a2, a1, eta1, *, totals):
     """(new_bids, new_bid_totals, price, bad_slot) in fresh arrays: the
     price is the refreshed one, or the one before the step when a slot's
     new bids collapse or overflow; a slot whose bids already sum to zero
@@ -108,8 +108,7 @@ def es_phase_reference(lam, load, a2, a1, eta1, delta, *, totals):
         return lam, totals, totals, int(np.argmax(totals <= 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
         new_lam = np.maximum(
-            lam + eta1 * es_direction_reference(lam, load, a2, a1, delta),
-            0.0)
+            lam + eta1 * es_direction_reference(lam, load, a2, a1), 0.0)
         new_totals = new_lam.sum(axis=0)
     bad = ~(np.isfinite(new_totals) & (new_totals > 0.0))
     if np.any(bad):
@@ -542,7 +541,7 @@ class TestPhaseParity:
         lam = np.zeros((3, 4))
         lam[:, :2] = 1.0
         out = _kernels.es_phase(lam, np.ones(4), np.full(3, 1e-4),
-                                np.full(3, 1e-3), 0.05, 1e-6,
+                                np.full(3, 1e-3), 0.05,
                                 totals=lam.sum(axis=0))
         assert out[3] == 2
 
@@ -550,7 +549,7 @@ class TestPhaseParity:
         lam = np.full((3, 2), 7.0)
         out = _kernels.es_phase(lam, np.array([0.0, 0.0]),
                                 np.full(3, 1e-4), np.full(3, 1e-3),
-                                0.05, 1e-6, totals=lam.sum(axis=0))
+                                0.05, totals=lam.sum(axis=0))
         np.testing.assert_array_equal(out[0], lam)
         np.testing.assert_array_equal(out[2], [0.0, 0.0])
 
@@ -560,9 +559,9 @@ class TestPhaseParity:
         lam = np.array([[10.0], [1.0], [1.0]])
         load = np.array([12.0])
         a2 = np.array([0.01, 0.01, 0.01])
-        direction = _kernels.es_direction(lam, load, a2, np.zeros(3), 1e-6)
+        direction = _kernels.es_direction(lam, load, a2, np.zeros(3))
         assert direction[0, 0] == -1.0
-        out = _kernels.es_phase(lam, load, a2, np.zeros(3), 1.0, 1e-6,
+        out = _kernels.es_phase(lam, load, a2, np.zeros(3), 1.0,
                                 totals=lam.sum(axis=0))
         assert out[0][0, 0] == 9.0
 
@@ -570,8 +569,8 @@ class TestPhaseParity:
 class TestSupplierPhaseExact:
     """``es_phase`` and ``es_direction`` have the bits of the plain
     formulas, on every path: an ordinary step, a share at or beyond
-    (1/2 - delta) of the load, a slot whose bids already sum to zero, a
-    step that clips every bid of a slot to zero and a step that
+    (1/2 - LEMMA1_MARGIN) of the load, a slot whose bids already sum to
+    zero, a step that clips every bid of a slot to zero and a step that
     overflows."""
 
     @deterministic
@@ -592,7 +591,6 @@ class TestSupplierPhaseExact:
         a1 = rng.uniform(0.0, 1.0, size=m) * price.min()
         a2 = rng.uniform(0.0, 1.0, size=m) * price.min() / load.max()
         eta1 = rng.uniform(0.01, 0.1) * 0.5 * scale / price.max()
-        delta = 1e-6
         if case == "collapsed":
             lam[:, rng.integers(t)] = 0.0
         elif case == "collapsing":
@@ -600,10 +598,8 @@ class TestSupplierPhaseExact:
         elif case == "overflowing":
             a2, a1, eta1 = np.full(m, 1e-12), np.zeros(m), 1e308
         totals = lam.sum(axis=0)
-        want = es_phase_reference(lam, load, a2, a1, eta1, delta,
-                                  totals=totals)
-        got = _kernels.es_phase(lam, load, a2, a1, eta1, delta,
-                                totals=totals)
+        want = es_phase_reference(lam, load, a2, a1, eta1, totals=totals)
+        got = _kernels.es_phase(lam, load, a2, a1, eta1, totals=totals)
         for g, w in zip(got[:3], want[:3]):
             assert_same_bits(g, w)
         assert got[3] == want[3]
@@ -616,8 +612,8 @@ class TestSupplierPhaseExact:
             elif case == "overflowing":
                 assert want[1][want[3]] == np.inf
         if case != "collapsed":
-            assert_same_bits(_kernels.es_direction(lam, load, a2, a1, delta),
-                             es_direction_reference(lam, load, a2, a1, delta))
+            assert_same_bits(_kernels.es_direction(lam, load, a2, a1),
+                             es_direction_reference(lam, load, a2, a1))
         if case == "guarded":
             f = lam * price
-            assert (f[0] >= (0.5 - delta) * load).all()
+            assert (f[0] >= (0.5 - _kernels.LEMMA1_MARGIN) * load).all()

@@ -174,7 +174,9 @@ class TestScenarioRoundTrip:
 
     @pytest.mark.parametrize("name,value", [
         ("num_es", [10]), ("num_te", float("inf")),
-        ("num_slots", float("nan")), ("seed", {"x": 1})])
+        ("num_slots", float("nan")), ("seed", {"x": 1}),
+        ("num_es", 3.9), ("seed", 2.9), ("seed", True), ("num_te", False),
+        ("num_slots", "3")])
     def test_bad_count_or_seed_names_field(self, tmp_path, name, value):
         path = tmp_path / "s.json"
         save_scenario(path, generate_scenario(GenerationParams(
@@ -186,6 +188,17 @@ class TestScenarioRoundTrip:
             load_scenario(path)
         assert err.value.field == name
         assert f"{name} is not an integer" in str(err.value)
+
+    def test_integral_float_count_and_seed_load(self, tmp_path):
+        path = tmp_path / "s.json"
+        save_scenario(path, generate_scenario(GenerationParams(
+            num_te=3, num_es=3, num_slots=3, seed=2)))
+        doc = json.loads(path.read_text())
+        doc.update(num_es=3.0, seed=2.0)
+        path.write_text(json.dumps(doc))
+        loaded = load_scenario(path)
+        assert (loaded.num_es, loaded.seed) == (3, 2)
+        assert type(loaded.num_es) is int and type(loaded.seed) is int
 
     def test_deeply_nested_is_invalid_json(self, tmp_path):
         path = tmp_path / "s.json"
@@ -548,6 +561,33 @@ class TestCompanion:
             got = load_scenario(scenario_path)
         assert spy.call_count == 1
         _assert_same_scenario(got, generate_scenario(self.PARAMS))
+
+    @pytest.mark.parametrize("retired,loads", [
+        ({"singularity_delta": 1e-6, "relative_stopping": False}, True),
+        ({"relative_stopping": True}, False),
+        ({"singularity_delta": 0.01}, False)])
+    def test_retired_solver_keys(self, scenario_path, retired, loads):
+        """A file and companion written while the solver block still held
+        ``singularity_delta`` and ``relative_stopping``: each key at its
+        one old value is dropped, any other value refused naming it,
+        alike from the companion and from the JSON."""
+        doc = json.loads(scenario_path.read_text())
+        doc["solver"].update(retired)
+        text = json.dumps(doc)
+        scenario_path.write_text(text)
+        scenario_io._write_companion(
+            scenario_path, doc, hashlib.sha256(text.encode()).hexdigest())
+        with _parsed_loads() as spy:
+            warm = _load_outcome(scenario_path)
+        assert spy.call_count == 0
+        cold = _cold_outcome(scenario_path)
+        if loads:
+            _assert_same_scenario(warm, generate_scenario(self.PARAMS))
+            _assert_same_scenario(cold, generate_scenario(self.PARAMS))
+        else:
+            assert warm == cold
+            assert warm[0] is ScenarioFormatError
+            assert f"solver.{next(iter(retired))}" in warm[1]
 
     def test_keyed_to_the_bytes_written(self, scenario_path, tmp_path):
         """A save that another save overwrites before its companion is
