@@ -25,8 +25,9 @@ an entry below zero; its bits are those of the shift, not of a full
 sort-and-threshold pass, with which it agrees to rounding.
 
 The customer gradient takes the utility slope U'(x) = max(w - alpha x, 0)
-only on a market with some "live" pair, one with fl(alpha * base) <= w
-(``any_live``); on any other market it is the price term alone. This is
+unless told (``live=False``) that the market has no "live" pair, one
+with fl(alpha * base) <= w; the solver asks ``any_live`` once per run.
+On a market without one it is the price term alone. This is
 exact: the projection keeps chi >= 0, so x = fl(chi + base) >= base, and
 with alpha > 0, fl(alpha * x) >= fl(alpha * base) > w on a pair that is
 not live, where the max is therefore exactly 0.0. A market
@@ -154,20 +155,16 @@ def es_phase(lam, load, a2, a1, eta1, *, totals):
     return new_lam, new_totals, load / new_totals, -1
 
 
-def any_live(base, w, alpha, *, scratch=None):
+def any_live(base, w, alpha):
     """Whether some (customer, slot) pair's utility slope is not flattened
     by base demand alone: False only when fl(alpha * base) > w on every
     pair. A NaN product counts as live.
-
-    ``scratch`` receives alpha * base; it is allocated in the broadcast
-    shape of the inputs when not given.
     """
-    dead = np.greater(np.multiply(alpha, base, out=scratch), w)
-    return not dead.all()
+    return not np.greater(alpha * base, w).all()
 
 
 def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None,
-                live=None):
+                live=True):
     """Exact partial derivative of each customer's payoff in its demand.
 
     U'(x) - (L + x) / sum(bids) with x = chi + base, per slot and
@@ -179,13 +176,13 @@ def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None,
 
     U'(x) = max(w - alpha x, 0): for finite inputs, fl(w - alpha x) >= 0
     exactly when alpha x <= w, so this has the bits of the piecewise form.
-    It is taken only when ``live`` is true (``any_live``; derived from
-    base, w and alpha when not given). Otherwise every pair gets the
-    price term alone, 0.0 - (L + x) / sum(bids), with the same bits: no
-    pair is live, so fl(alpha * base) > w, and as x = fl(chi + base)
-    >= base and alpha > 0, fl(alpha * x) >= fl(alpha * base) > w, so
-    fl(w - alpha x) < 0 and the max is exactly 0.0. ``live=True`` gives
-    the same bits on any market.
+    It is taken unless ``live`` is false, which a caller may pass only
+    where ``any_live`` is false: every pair then gets the price term
+    alone, 0.0 - (L + x) / sum(bids), with the same bits, as no pair is
+    live, so fl(alpha * base) > w, and as x = fl(chi + base) >= base and
+    alpha > 0, fl(alpha * x) >= fl(alpha * base) > w, so fl(w - alpha x)
+    < 0 and the max is exactly 0.0. The default, ``live=True``, the full
+    formula, gives the same bits on any market.
 
     ``out`` receives the gradient and ``x`` is scratch for chi + base;
     each is allocated in the shape of ``chi`` when not given. Without
@@ -194,8 +191,6 @@ def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None,
     """
     if out is None:
         out = np.empty(np.shape(chi))
-    if live is None:
-        live = any_live(base, w, alpha, scratch=out)
     if not live:
         x = out
     elif x is None:
@@ -213,7 +208,7 @@ def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None,
 
 
 def te_phase(chi, base, w, alpha, load, totals, q, eta2, *, out=None,
-             grad=None, scratch=None, live=None):
+             grad=None, scratch=None, live=True):
     """One simultaneous demand-ascent step for every customer.
 
     The arrays are T x N, one column per customer; ``load``, ``totals``
@@ -227,8 +222,7 @@ def te_phase(chi, base, w, alpha, load, totals, q, eta2, *, out=None,
     chi + base for the gradient where the utility slope is taken. Each
     is allocated when needed and not given; none may overlap ``chi`` or
     another. Once they are given, a call allocates only a few
-    per-customer vectors and, when ``live`` is not given, one boolean
-    T x N mask.
+    per-customer vectors.
     """
     grad = te_gradient(chi, base, w, alpha, load, totals, out=grad,
                        x=scratch, live=live)

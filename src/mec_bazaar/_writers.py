@@ -5,7 +5,8 @@ values at a time: the block's floats are spelled by ``repr`` (or by
 json's C encoder, which spells them alike), its strings are joined once
 and written with one write, so what a writer holds does not grow with
 the market. ``scenario_io`` writes scenario files and the result bundle
-with them, and ``metrics_report.emit`` the report and its figures.
+with them, ``metrics_report.emit`` the report and its figures, and
+``cli`` the run manifest and the oracle report.
 """
 
 from __future__ import annotations

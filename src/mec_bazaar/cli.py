@@ -14,15 +14,18 @@ part of the contract:
      the sum of its rivals' bids)
   5  oracle refused a two-supplier market
   6  oracle found a tolerance violation (equilibrium probes,
-     gradient checks, best-response gains, or bundle demand that
-     misses shiftable_total or goes negative)
+     gradient checks, best-response gains, bundle prices or bids away
+     from the supplier equilibrium, a negative bid, or bundle demand
+     that misses shiftable_total or goes negative)
+
+Both ``gen`` and ``run`` set a solver field only as ``--param
+solver.<field>=value``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -32,6 +35,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, market_model
+from ._writers import write_indented_json
 from .bidding_games import STATUS_CONVERGED, run_dtoa
 from .errors import (
     DegenerateMarketError,
@@ -46,7 +50,7 @@ from .equilibrium_oracle import (
     solve_supplier_equilibrium,
     verify_supplier_equilibrium,
 )
-from .market_model import Scenario, SolverConfig
+from .market_model import SolverConfig
 from .metrics_report import build_report, compute_baseline, emit
 from .scenario_io import (
     GenerationParams,
@@ -72,8 +76,8 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF  # seeds count modulo 2**64, as in gen
 # the largest relative gap ``oracle --result`` lets a bundle keep from the
 # equilibrium, on either side of the market: its price against the
-# supplier equilibrium price, a customer's best-response gain against its
-# payoff
+# supplier equilibrium price, its bids against the equilibrium's, a
+# customer's best-response gain against its payoff
 _GAP_TOL = 1e-3
 
 
@@ -104,14 +108,28 @@ def _parse_value(text: str):
         return text
 
 
-def _parse_params(pairs: list[str]) -> dict:
-    out = {}
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
+
+
+def _split_params(pairs: list[str]) -> tuple[dict, dict]:
+    """Parse ``--param key=value`` pairs into the ``solver.<field>``
+    settings, keyed by field, and the other keys. A ``solver.<name>`` key
+    whose name is no ``SolverConfig`` field is refused, naming the key."""
+    solver, rest = {}, {}
     for pair in pairs:
         if "=" not in pair:
             raise DomainError(f"--param expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
-        out[key.strip()] = _parse_value(value)
-    return out
+        key, value = key.strip(), _parse_value(value)
+        name = key.removeprefix("solver.")
+        if name == key:
+            rest[key] = value
+        elif name in _SOLVER_KEYS:
+            solver[name] = value
+        else:
+            raise DomainError(f"unknown solver parameter {key!r} (fields: "
+                              f"{', '.join(sorted(_SOLVER_KEYS))})")
+    return solver, rest
 
 
 # --------------------------------------------------------------------------
@@ -120,7 +138,6 @@ def _parse_params(pairs: list[str]) -> dict:
 
 _GEN_RANGE_KEYS = {"base_demand_range", "shiftable_fraction_range",
                    "a2_range", "w_range"}
-_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 def _number(key: str, value) -> float:
@@ -137,21 +154,15 @@ def _number(key: str, value) -> float:
 
 
 def _gen_params_from_args(args) -> GenerationParams:
-    overrides = _parse_params(args.param)
+    solver, overrides = _split_params(args.param)
     gen_kwargs = {
         "seed": args.seed,
         "num_te": args.tes,
         "num_es": args.ess,
         "num_slots": args.slots,
     }
-    solver_kwargs = {}
     for key, value in overrides.items():
-        if key.startswith("solver."):
-            name = key[len("solver."):]
-            if name not in _SOLVER_KEYS:
-                raise DomainError(f"unknown solver parameter {name!r}")
-            solver_kwargs[name] = value
-        elif key.endswith("_lo") or key.endswith("_hi"):
+        if key.endswith("_lo") or key.endswith("_hi"):
             base = key[:-3]
             if base not in _GEN_RANGE_KEYS:
                 raise DomainError(f"unknown range parameter {base!r}")
@@ -164,8 +175,7 @@ def _gen_params_from_args(args) -> GenerationParams:
             gen_kwargs[key] = _number(key, value)
         else:
             raise DomainError(f"unknown generation parameter {key!r}")
-    params = GenerationParams(
-        **gen_kwargs, solver=SolverConfig(**solver_kwargs))
+    params = GenerationParams(**gen_kwargs, solver=SolverConfig(**solver))
     params.validate()
     return params
 
@@ -175,7 +185,7 @@ def cmd_gen(args) -> int:
         params = _gen_params_from_args(args)
         scenario = generate_scenario(params)
     except (DomainError, ValueError) as exc:
-        return _fail(EXIT_USAGE, f"invalid generation parameters: {exc}")
+        return _fail(EXIT_USAGE, f"invalid parameters: {exc}")
     try:
         save_scenario(args.output, scenario, generation=params)
     except OSError as exc:
@@ -190,22 +200,6 @@ def cmd_gen(args) -> int:
 # run
 # --------------------------------------------------------------------------
 
-def _apply_overrides(scenario: Scenario, overrides: dict) -> tuple[Scenario, dict]:
-    applied = {}
-    solver_kwargs = {}
-    for key, value in overrides.items():
-        name = key[len("solver."):] if key.startswith("solver.") else key
-        if name not in _SOLVER_KEYS:
-            raise DomainError(
-                f"unknown override {key!r} (solver fields: "
-                f"{sorted(_SOLVER_KEYS)})")
-        solver_kwargs[name] = value
-        applied[f"solver.{name}"] = value
-    scenario.solver = dataclasses.replace(scenario.solver, **solver_kwargs)
-    scenario.validate()
-    return scenario, applied
-
-
 def cmd_run(args) -> int:
     try:
         scenario, digest = load_scenario(args.scenario, with_digest=True)
@@ -214,16 +208,15 @@ def cmd_run(args) -> int:
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read scenario: {exc}")
 
-    overrides = {}
     try:
-        overrides = _parse_params(args.param)
-        if args.epsilon is not None:
-            overrides["solver.epsilon"] = args.epsilon
-        if args.max_iter is not None:
-            overrides["solver.max_iterations"] = args.max_iter
-        scenario, applied = _apply_overrides(scenario, overrides)
-    except (DomainError, ValueError) as exc:
-        return _fail(EXIT_USAGE, f"invalid override: {exc}")
+        solver, stray = _split_params(args.param)
+        if stray:
+            raise DomainError(f"unknown parameter {next(iter(stray))!r} "
+                              "(run sets only solver.<field>)")
+        scenario.solver = dataclasses.replace(scenario.solver, **solver)
+        scenario.solver.validate()
+    except DomainError as exc:
+        return _fail(EXIT_USAGE, f"invalid parameters: {exc}")
 
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
@@ -248,7 +241,7 @@ def cmd_run(args) -> int:
             "scenario_path": os.path.abspath(args.scenario),
             "scenario_sha256": digest,
             "seed": scenario.seed,
-            "overrides": applied,
+            "overrides": {f"solver.{k}": v for k, v in solver.items()},
             "started": started.isoformat(),
             "finished": datetime.now(timezone.utc).isoformat(),
             "runtime_seconds": runtime,
@@ -257,11 +250,8 @@ def cmd_run(args) -> int:
             "baseline_converged": baseline.converged,
             "baseline_iterations": baseline.iterations,
         }
-        manifest_path = os.path.join(args.out_dir, "manifest.json")
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1)
-            fh.write("\n")
-        paths["manifest"] = manifest_path
+        paths["manifest"] = os.path.join(args.out_dir, "manifest.json")
+        write_indented_json(paths["manifest"], manifest)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write results: {exc}")
 
@@ -320,9 +310,12 @@ def cmd_oracle(args) -> int:
                 with np.errstate(divide="ignore"):
                     price = loads[t] / bids[:, t].sum()
                 gap = float(abs(price - eq.price) / eq.price)
+                bid_gap = float(np.abs(bids[:, t] - eq.implied_bids).max()
+                                / eq.implied_bids.sum())
                 entry["bundle_price"] = float(price)
                 entry["price_gap"] = gap
-                if not gap <= _GAP_TOL:
+                entry["bid_gap"] = bid_gap
+                if not (gap <= _GAP_TOL and bid_gap <= _GAP_TOL):
                     report["passed"] = False
             report["slots"][str(t)] = entry
     except TwoSupplierMarketError as exc:
@@ -344,8 +337,10 @@ def cmd_oracle(args) -> int:
         row_err = market_model.row_sum_error(demand,
                                              scenario.shiftable_total)
         report["feasibility"] = {"max_row_sum_error": row_err,
-                                 "min_demand": float(demand.min())}
-        if row_err > market_model.ROW_SUM_TOL or demand.min() < 0:
+                                 "min_demand": float(demand.min()),
+                                 "min_bid": float(bids.min())}
+        if (row_err > market_model.ROW_SUM_TOL or demand.min() < 0
+                or bids.min() < 0):
             report["passed"] = False
         payoffs = market_model.compute_agent_economics(
             demand, scenario.base_demand, bids, scenario.cost_coeffs,
@@ -362,9 +357,7 @@ def cmd_oracle(args) -> int:
 
     out_path = args.output or "oracle_report.json"
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1)
-            fh.write("\n")
+        write_indented_json(out_path, report)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write report: {exc}")
     print(out_path)
@@ -410,11 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      "bundle plus report")
     run.add_argument("--scenario", required=True)
     run.add_argument("--out-dir", required=True)
-    run.add_argument("--epsilon", type=float, default=None)
-    run.add_argument("--max-iter", type=int, default=None)
     run.add_argument("--param", action="append", default=[],
                      metavar="KEY=VALUE",
-                     help="override solver fields after load")
+                     help="override a solver.* field of the scenario, "
+                          "e.g. solver.epsilon=0.1")
     run.set_defaults(func=cmd_run)
 
     oracle = sub.add_parser("oracle", help="independent equilibrium and "

@@ -2,7 +2,14 @@
 
 
 class MarketError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    ``field`` names the scenario or solver field at fault, where one is.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DimensionError(MarketError):
@@ -43,10 +50,6 @@ class TwoSupplierMarketError(MarketError):
 
 class ScenarioFormatError(MarketError):
     """A scenario or result file failed to parse or validate."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
 
 
 class SchemaVersionError(ScenarioFormatError):

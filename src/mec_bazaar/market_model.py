@@ -85,20 +85,22 @@ class SolverConfig:
                     ok = False
             if not ok:
                 raise DomainError(f"solver.{f.name} must be "
-                                  f"{_FIELD_KINDS[f.type]}, got {value!r}")
-        for name in ("eta1_init", "eta2_init"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise DomainError(f"solver.{name} must be positive or "
-                                  f"null, got {value!r}")
-        if not (0 < self.eta1_decay <= 1 and 0 < self.eta2_decay <= 1):
-            raise DomainError("step-size decays must lie in (0, 1]")
-        if not self.epsilon > 0:
-            raise DomainError("epsilon must be positive")
-        if self.lambda_init < 0:
-            raise DomainError("lambda_init must be nonnegative")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be at least 1")
+                                  f"{_FIELD_KINDS[f.type]}, got {value!r}",
+                                  field=f"solver.{f.name}")
+        for name, ok, rule in (
+                ("eta1_init", self.eta1_init is None or self.eta1_init > 0,
+                 "positive or null"),
+                ("eta2_init", self.eta2_init is None or self.eta2_init > 0,
+                 "positive or null"),
+                ("eta1_decay", 0 < self.eta1_decay <= 1, "in (0, 1]"),
+                ("eta2_decay", 0 < self.eta2_decay <= 1, "in (0, 1]"),
+                ("epsilon", self.epsilon > 0, "positive"),
+                ("lambda_init", self.lambda_init >= 0, "nonnegative"),
+                ("max_iterations", self.max_iterations >= 1, "at least 1")):
+            if not ok:
+                raise DomainError(f"solver.{name} must be {rule}, got "
+                                  f"{getattr(self, name)!r}",
+                                  field=f"solver.{name}")
 
 
 ROW_SUM_TOL = 1e-9  # a feasible demand row's relative miss of its total
@@ -136,11 +138,14 @@ class Scenario:
 
     def validate(self) -> None:
         if self.num_es < 2:
-            raise DomainError("need at least two suppliers (num_es >= 2)")
+            raise DomainError("need at least two suppliers (num_es >= 2)",
+                              field="num_es")
         if self.num_te < 1:
-            raise DomainError("need at least one customer (num_te >= 1)")
+            raise DomainError("need at least one customer (num_te >= 1)",
+                              field="num_te")
         if self.num_slots < 1:
-            raise DomainError("need at least one slot (num_slots >= 1)")
+            raise DomainError("need at least one slot (num_slots >= 1)",
+                              field="num_slots")
         m, n, t = self.num_es, self.num_te, self.num_slots
         shapes = {
             "cost_coeffs": (self.cost_coeffs, (m, 3)),
@@ -153,37 +158,47 @@ class Scenario:
         for name, (arr, expect) in shapes.items():
             if arr.shape != expect:
                 raise DimensionError(
-                    f"{name} has shape {arr.shape}, expected {expect}")
+                    f"{name} has shape {arr.shape}, expected {expect}",
+                    field=name)
         # NaN fails every comparison below without raising, so check first
         bad = [name for name, (arr, _) in shapes.items()
                if not np.all(np.isfinite(arr))]
         if bad:
-            raise DomainError(f"non-finite values in {', '.join(bad)}")
+            raise DomainError(f"non-finite values in {', '.join(bad)}",
+                              field=bad[0])
         if np.any(self.cost_coeffs[:, 0] <= 0):
-            raise DomainError("cost_coeffs: a2 must be positive")
+            raise DomainError("cost_coeffs: a2 must be positive",
+                              field="cost_coeffs")
         if np.any(self.cost_coeffs[:, 1:] < 0):
-            raise DomainError("cost_coeffs: a1 and a0 must be nonnegative")
+            raise DomainError("cost_coeffs: a1 and a0 must be nonnegative",
+                              field="cost_coeffs")
         if np.any(self.utility_alpha <= 0):
-            raise DomainError("utility_alpha must be positive")
+            raise DomainError("utility_alpha must be positive",
+                              field="utility_alpha")
         if np.any(self.utility_w <= 0):
-            raise DomainError("utility_w must be positive")
+            raise DomainError("utility_w must be positive",
+                              field="utility_w")
         if np.any(self.base_demand < 0):
-            raise DomainError("base_demand must be nonnegative")
+            raise DomainError("base_demand must be nonnegative",
+                              field="base_demand")
         if np.any(self.shiftable_total < 0):
-            raise DomainError("shiftable_total must be nonnegative")
+            raise DomainError("shiftable_total must be nonnegative",
+                              field="shiftable_total")
         if np.any(self.initial_demand < 0):
-            raise DomainError("initial_demand must be nonnegative")
+            raise DomainError("initial_demand must be nonnegative",
+                              field="initial_demand")
         if row_sum_error(self.initial_demand,
                          self.shiftable_total) > ROW_SUM_TOL:
             raise DomainError(
-                "initial_demand row sums must equal shiftable_total")
+                "initial_demand row sums must equal shiftable_total",
+                field="initial_demand")
         # a slot without load has no price and makes PAR undefined
         empty = (self.base_demand.sum(axis=0)
                  + self.initial_demand.sum(axis=0)) <= 0
         if np.any(empty):
             raise DomainError(
                 f"slot {int(np.argmax(empty))} has no load: base_demand "
-                "plus initial_demand sums to 0")
+                "plus initial_demand sums to 0", field="base_demand")
         self.solver.validate()
 
 

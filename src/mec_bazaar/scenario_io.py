@@ -403,7 +403,7 @@ def load_scenario(path, *, with_digest: bool = False):
                 raise ScenarioFormatError(
                     f"{path}: solver.{key} is retired and may only be "
                     f"{json.dumps(old)}, got {reprlib.repr(value)}",
-                    field="solver")
+                    field=f"solver.{key}")
     try:
         solver = SolverConfig(**block)
     except TypeError as exc:
@@ -434,18 +434,10 @@ def load_scenario(path, *, with_digest: bool = False):
     try:
         scenario.validate()
     except (DimensionError, DomainError) as exc:
-        raise ScenarioFormatError(f"{path}: {exc}", field=_guess_field(exc))
+        raise ScenarioFormatError(f"{path}: {exc}", field=exc.field)
     if not with_digest:
         return scenario
     return scenario, digest if digest is not None else _sha256(path)
-
-
-def _guess_field(exc: Exception) -> str | None:
-    text = str(exc)
-    for name in _TABLES + ("solver",):
-        if name in text:
-            return name
-    return None
 
 
 # --------------------------------------------------------------------------

@@ -141,6 +141,18 @@ class TestGen:
                   str(tmp_path / "x.json"))
         assert out.returncode == 2
 
+    def test_unknown_solver_param_same_error_as_run(self, small_scenario,
+                                                    tmp_path):
+        # gen and run read solver.* keys in one place
+        gen = cli("gen", "--seed", "2", "--tes", "5", "--param",
+                  "solver.bogus=1", "-o", str(tmp_path / "x.json"))
+        run = cli("run", "--scenario", str(small_scenario), "--out-dir",
+                  str(tmp_path / "o"), "--param", "solver.bogus=1")
+        assert gen.returncode == run.returncode == 2
+        assert error_line(gen) == error_line(run)
+        assert "'solver.bogus'" in error_line(gen)
+        assert not any(tmp_path.iterdir())
+
     def test_non_numeric_solver_param(self, tmp_path):
         out = cli("gen", "--seed", "2", "--tes", "5", "--param",
                   "solver.epsilon=abc", "-o", str(tmp_path / "x.json"))
@@ -196,18 +208,26 @@ class TestRun:
         assert final_delta < 0.3
 
     def test_epsilon_and_max_iter_flags(self, small_scenario, tmp_path):
+        # the retired flags are bad flags; --param sets both fields
+        for flag, value in (("--epsilon", "1e-12"), ("--max-iter", "5")):
+            out = cli("run", "--scenario", str(small_scenario), "--out-dir",
+                      str(tmp_path / "o1"), flag, value)
+            assert out.returncode == 2
+            assert flag in error_line(out)
+            assert not (tmp_path / "o1").exists()
         out = cli("run", "--scenario", str(small_scenario), "--out-dir",
-                  str(tmp_path / "o2"), "--epsilon", "1e-12",
-                  "--max-iter", "5")
+                  str(tmp_path / "o2"), "--param", "solver.epsilon=1e-12",
+                  "--param", "solver.max_iterations=5")
         assert out.returncode == 3
         doc = json.loads((tmp_path / "o2" / "result.json").read_text())
         assert doc["status"] == "iteration-cap-reached"
         assert doc["iterations"] == 5
+        assert doc["epsilon"] == 1e-12
 
     def test_baseline_cap_reported(self, small_scenario, tmp_path):
         out_dir = tmp_path / "o5"
         out = cli("run", "--scenario", str(small_scenario), "--out-dir",
-                  str(out_dir), "--max-iter", "5")
+                  str(out_dir), "--param", "solver.max_iterations=5")
         assert out.returncode == 3
         doc = json.loads((out_dir / "manifest.json").read_text())
         assert doc["baseline_converged"] is False
@@ -326,7 +346,10 @@ class TestRun:
                                        "solver.eta1_init=-0.05",
                                        # retired keys are unknown keys
                                        "solver.singularity_delta=1e-6",
-                                       "solver.relative_stopping=false"])
+                                       "solver.relative_stopping=false",
+                                       # a field is set only as solver.*
+                                       "epsilon=0.1",
+                                       "max_iterations=5"])
     def test_mistyped_override(self, small_scenario, tmp_path, param):
         out = cli("run", "--scenario", str(small_scenario), "--out-dir",
                   str(tmp_path / "o"), "--param", param)
@@ -715,37 +738,53 @@ class TestOracle:
         assert doc["best_response"]["worst_relative_gain"] > 1e-3
 
     @pytest.mark.parametrize("edit, code", [
-        ("none", 0), ("zero all", 6), ("halve te 0", 6), ("negative", 6)])
+        ("none", 0), ("zero all", 6), ("halve te 0", 6), ("negative", 6),
+        ("negative bid", 6), ("swap bids", 6)])
     def test_infeasible_demand_flagged(self, certified_market, tmp_path,
                                        edit, code):
         # the certified bundle passes; one whose rows miss shiftable_total,
-        # or that moves demand below zero keeping its rows, must not
+        # or that moves demand below zero keeping its rows, must not; nor
+        # one that moves bid between suppliers keeping each slot's price
         scn, run_dir = certified_market
-        lines = (run_dir / "demands.csv").read_text().splitlines()
-        rows = [r.split(",") for r in lines[1:]]
-        chi = np.array([float(r[3]) for r in rows])
-        te0 = np.array([r[0] == "0" for r in rows])
-        if edit == "zero all":
-            chi[:] = 0.0
-        elif edit == "halve te 0":
-            chi[te0] /= 2
-        elif edit == "negative":
-            first, second = np.flatnonzero(te0)[:2]
-            chi[second] += chi[first] + 1.0
-            chi[first] = -1.0
         bundle = tmp_path / "bundle"
         bundle.mkdir()
-        (bundle / "demands.csv").write_text("\n".join(
-            [lines[0]] + [",".join(r[:3] + [repr(float(c))])
-                          for r, c in zip(rows, chi)]) + "\n")
-        (bundle / "bids.csv").write_bytes((run_dir / "bids.csv").read_bytes())
+        for name in ("demands.csv", "bids.csv"):
+            lines = (run_dir / name).read_text().splitlines()
+            rows = [r.split(",") for r in lines[1:]]
+            value = np.array([float(r[-1]) for r in rows])
+            te0 = np.flatnonzero([r[0] == "0" for r in rows])
+            slot0 = np.flatnonzero([r[1] == "0" for r in rows])
+            if name == "demands.csv" and edit == "zero all":
+                value[:] = 0.0
+            elif name == "demands.csv" and edit == "halve te 0":
+                value[te0] /= 2
+            elif name == "demands.csv" and edit == "negative":
+                value[te0[1]] += value[te0[0]] + 1.0
+                value[te0[0]] = -1.0
+            elif name == "bids.csv" and edit == "negative bid":
+                # supplier 0's bid at slot 0 negated, supplier 1's raised
+                # by twice as much: the slot's bid total stays
+                value[slot0[1]] += 2 * value[slot0[0]]
+                value[slot0[0]] *= -1
+            elif name == "bids.csv" and edit == "swap bids":
+                value[slot0[:2]] = value[slot0[1::-1]]
+            (bundle / name).write_text("\n".join(
+                [lines[0]] + [",".join(r[:-1] + [repr(float(v))])
+                              for r, v in zip(rows, value)]) + "\n")
         report_path = tmp_path / "r.json"
         out = cli("oracle", "--scenario", str(scn), "--result", str(bundle),
                   "-o", str(report_path))
         assert out.returncode == code, out.stderr
-        feasibility = json.loads(report_path.read_text())["feasibility"]
+        doc = json.loads(report_path.read_text())
+        feasibility = doc["feasibility"]
+        bid_gap = max(e["bid_gap"] for e in doc["slots"].values())
         assert (feasibility["max_row_sum_error"] <= 1e-9
-                and feasibility["min_demand"] >= 0) == (code == 0)
+                and feasibility["min_demand"] >= 0
+                and feasibility["min_bid"] >= 0
+                and bid_gap <= 1e-3) == (code == 0)
+        if edit in ("negative bid", "swap bids"):
+            assert doc["slots"]["0"]["price_gap"] < 1e-3
+            assert doc["best_response"]["worst_relative_gain"] < 1e-3
 
     def test_zero_bid_slot_is_degenerate(self, tmp_path):
         # a bundle whose bids sum to zero at a slot has no price there

@@ -384,9 +384,9 @@ class TestLivePairs:
         assert live == live_mask.any()
         want_grad = gradient_reference(*args)
         want_phase = te_phase_reference(*args, q, eta2)
-        # the flag itself, the one derived from base, w and alpha, and
-        # the full formula on any market give the same bits
-        for given_live in (live, None, True):
+        # the flag itself and the full formula (the default) give the
+        # same bits on any market
+        for given_live in (live, True):
             assert_same_bits(_kernels.te_gradient(*args, live=given_live),
                              want_grad)
             assert_same_bits(_kernels.te_phase(*args, q, eta2,
@@ -462,7 +462,7 @@ class TestWorkspace:
         # per-customer vectors, a small fraction of one T x N buffer.
         # This holds with the flag run_dtoa passes, on a generated market
         # (no live pair) and on one with w raised on a tenth of its
-        # pairs, and with the flag derived on each call.
+        # pairs.
         s = generate_scenario(GenerationParams(num_te=2000, seed=1))
         chi, base, alpha = (np.ascontiguousarray(a.T) for a in (
             s.initial_demand, s.base_demand, s.utility_alpha))
@@ -474,14 +474,12 @@ class TestWorkspace:
                     s.shiftable_total, 0.01)
             live = _kernels.any_live(base, w, alpha)
             assert live == (w is raised)
-            for given_live in (live, None):
-                out, grad, scratch = dirty(chi, 3)
-                _kernels.te_phase(*args, out=out, grad=grad,
-                                  scratch=scratch, live=given_live)
-                peak = traced_peak(_kernels.te_phase, *args, out=out,
-                                   grad=grad, scratch=scratch,
-                                   live=given_live)
-                assert peak < 0.5 * chi.nbytes
+            out, grad, scratch = dirty(chi, 3)
+            _kernels.te_phase(*args, out=out, grad=grad, scratch=scratch,
+                              live=live)
+            peak = traced_peak(_kernels.te_phase, *args, out=out, grad=grad,
+                               scratch=scratch, live=live)
+            assert peak < 0.5 * chi.nbytes
 
 
 def live_market():

@@ -139,17 +139,24 @@ class TestScenarioRoundTrip:
         write_json(got, doc)
         assert got.getvalue() == want.getvalue()
 
-    def test_negative_a2_names_field(self, tmp_path):
+    @pytest.mark.parametrize("field, value", [
+        ("cost_coeffs", [[-1.0, 0.001, 0.001]] * 3), ("num_es", 1),
+        ("solver.epsilon", -1), ("solver.eta1_init", 0),
+        ("solver.eta2_decay", 1.5), ("solver.lambda_init", -1.0),
+        ("solver.max_iterations", 0)])
+    def test_negative_a2_names_field(self, tmp_path, field, value):
+        # the check that fails names its field, whatever its message says
         s = generate_scenario(GenerationParams(num_te=3, num_es=3,
                                                num_slots=3, seed=2))
         path = tmp_path / "s.json"
         save_scenario(path, s)
         doc = json.loads(path.read_text())
-        doc["cost_coeffs"][0][0] = -1.0
+        block, _, key = field.rpartition(".")
+        (doc[block] if block else doc)[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ScenarioFormatError) as err:
             load_scenario(path)
-        assert err.value.field == "cost_coeffs"
+        assert err.value.field == field
 
     def test_truncated_file(self, tmp_path):
         s = generate_scenario(GenerationParams(num_te=3, num_es=3,

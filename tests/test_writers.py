@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import traced_peak
+from conftest import cli, traced_peak
 
 from mec_bazaar import _writers
 from mec_bazaar._writers import write_indented_json, write_json, write_table
@@ -210,6 +210,23 @@ class TestBlockWriters:
         _reference_save_result(tmp_path / "want", res, s)
         _reference_emit(doc, tmp_path / "want")
         assert _files(tmp_path / "got") == _files(tmp_path / "want")
+
+    def test_manifest_and_oracle_report(self, tmp_path):
+        # run's manifest and oracle's report hold only JSON values, so
+        # json.dump of what they parse back to writes their bytes
+        scn, out_dir = tmp_path / "s.json", tmp_path / "run"
+        report = tmp_path / "oracle.json"
+        for args in (("gen", "--seed", "3", "--tes", "6", "--ess", "3",
+                      "--slots", "4", "-o", scn),
+                     ("run", "--scenario", scn, "--out-dir", out_dir,
+                      "--param", "solver.max_iterations=500"),
+                     ("oracle", "--scenario", scn, "--result", out_dir,
+                      "--samples", "5", "-o", report)):
+            out = cli(*map(str, args))
+            assert out.returncode == 0, out.stderr
+        for path in (out_dir / "manifest.json", report):
+            _reference_json(tmp_path / "want", json.loads(path.read_text()))
+            assert path.read_bytes() == (tmp_path / "want").read_bytes()
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.dictionaries(st.text(max_size=3), _VALUES, max_size=6))
