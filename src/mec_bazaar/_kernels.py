@@ -15,9 +15,12 @@ step adds or divides per slot (load, bid total, step size) is then one
 scalar per row, broadcast along N contiguous entries, and each
 customer's daily sum runs over axis 0. The kernels take optional
 keyword-only output and scratch buffers, so the solver loop can run them
-in a workspace it allocates once (see ``bidding_games.run_dtoa``). A
-buffer not given is allocated and the same in-place sequence of ufuncs
-runs on it, so a call gives the same bits with or without a workspace.
+in a workspace it allocates once (see ``bidding_games.run_dtoa``).
+``te_phase`` runs the whole customer step in its output: the gradient
+is built there, stepped and projected in place, as the projection may
+write over its input. A buffer not given is allocated and the same
+in-place sequence of ufuncs runs on it, so a call gives the same bits
+with or without a workspace.
 
 The projection shifts each customer's column uniformly by its excess
 over the daily total and sorts only the columns where that shift drives
@@ -64,21 +67,32 @@ def project_rows_np(cand: np.ndarray, totals: np.ndarray, *,
     finite) go to the sort-and-threshold projection ``_project_sorted``,
     which treats each column on its own.
 
+    The columns are told apart before the shift, so that it can run in
+    place: for finite c and theta, fl(c - theta) >= 0 exactly when
+    c >= theta, so a column keeps the shift when theta is finite and
+    its smallest entry is >= theta (a NaN entry fails this, as the
+    minimum propagates it). Every column does when the smallest entry
+    of ``cand`` is >= the largest theta, which is tested first.
+
     ``totals`` holds one total per column, or one for all. ``out``
-    receives the projection; it is allocated when not given, and must
-    not overlap ``cand``.
+    receives the projection; it is allocated when not given, and may be
+    ``cand`` itself.
     """
     t = cand.shape[0]
     theta = cand.sum(axis=0)
     theta -= totals
     theta /= float(t)
-    out = np.subtract(cand, theta, out=out)
     finite = np.isfinite(theta)
-    # min propagates NaN, so a NaN entry fails the test as well
-    if not (finite.all() and out.min(initial=0.0) >= 0.0):
-        slow = ~(finite & (out >= 0.0).all(axis=0))
-        out[:, slow] = _project_sorted(
-            cand[:, slow], np.broadcast_to(totals, theta.shape)[slow])
+    clipped = None
+    if not (finite.all()
+            and cand.min(initial=np.inf) >= theta.max(initial=-np.inf)):
+        slow = ~(finite & (cand.min(axis=0) >= theta))
+        if slow.any():
+            clipped = _project_sorted(
+                cand[:, slow], np.broadcast_to(totals, theta.shape)[slow])
+    out = np.subtract(cand, theta, out=out)
+    if clipped is not None:
+        out[:, slow] = clipped
     return out
 
 
@@ -208,7 +222,7 @@ def te_gradient(chi, base, w, alpha, load, totals, *, out=None, x=None,
 
 
 def te_phase(chi, base, w, alpha, load, totals, q, eta2, *, out=None,
-             grad=None, scratch=None, live=True):
+             scratch=None, live=True):
     """One simultaneous demand-ascent step for every customer.
 
     The arrays are T x N, one column per customer; ``load``, ``totals``
@@ -217,15 +231,15 @@ def te_phase(chi, base, w, alpha, load, totals, q, eta2, *, out=None,
     projects each column back onto its fixed daily total ``q``
     (Euclidean projection). ``live`` is handed to ``te_gradient``.
 
-    The step runs in ``grad`` besides ``out``, which receives the new
-    demand: ``grad`` holds the stepped demand, and ``scratch`` holds
-    chi + base for the gradient where the utility slope is taken. Each
-    is allocated when needed and not given; none may overlap ``chi`` or
-    another. Once they are given, a call allocates only a few
-    per-customer vectors.
+    The whole step runs in ``out``, which receives the new demand: the
+    gradient is built there, stepped from ``chi`` and projected in
+    place. ``scratch`` holds chi + base for the gradient where the
+    utility slope is taken. Each is allocated when needed and not
+    given; neither may overlap ``chi`` or the other. Once they are
+    given, a call allocates only a few per-customer vectors.
     """
-    grad = te_gradient(chi, base, w, alpha, load, totals, out=grad,
-                       x=scratch, live=live)
-    grad *= _per_slot(eta2)
-    grad += chi
-    return project_rows_np(grad, q, out=out)
+    out = te_gradient(chi, base, w, alpha, load, totals, out=out,
+                      x=scratch, live=live)
+    out *= _per_slot(eta2)
+    out += chi
+    return project_rows_np(out, q, out=out)

@@ -4,14 +4,19 @@ Each output is laid out as text a block of about a thousand lines or
 values at a time: the block's floats are spelled by ``repr`` (or by
 json's C encoder, which spells them alike), its strings are joined once
 and written with one write, so what a writer holds does not grow with
-the market. ``scenario_io`` writes scenario files and the result bundle
-with them, ``metrics_report.emit`` the report and its figures, and
-``cli`` the run manifest and the oracle report.
+the market. A JSON document and CSV tables that hold the same floats
+share one spelling of them (``write_indented_json``'s ``tables``).
+``scenario_io`` writes scenario files and the result bundle with them,
+``metrics_report.emit`` the report and its figures, and ``cli`` the run
+manifest and the oracle report.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import shutil
+import tempfile
 
 import numpy as np
 
@@ -27,6 +32,8 @@ _BLOCK_LINES = 1000
 _SCALARS = frozenset({float, int, bool, str, type(None)})
 _ELEMENTS = json.JSONEncoder(separators=(",\n  ", ": ")).encode
 _ENCODE = json.JSONEncoder().encode
+# json's spelling of the floats that repr spells otherwise
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _open_text(path):
@@ -59,18 +66,45 @@ def write_json(fh, doc: dict) -> None:
     fh.write("}")
 
 
-def write_indented_json(path, doc: dict) -> None:
+def write_indented_json(path, doc: dict, tables=()) -> None:
     """Write ``doc`` and a newline to ``path``, with the bytes of
     ``json.dump(doc, fh, indent=1)``.
 
     A 1-D array value, or a list of scalars, goes through json's C
     encoder at most ``_BLOCK_LINES`` elements at a time; any other value
     goes through ``json.dumps`` whole.
+
+    Each of ``tables``, (path, header, keys), is also written: the CSV
+    that ``write_table(path, header, [range(n), *(doc[k] for k in
+    keys)])`` writes, the keys naming lists (or 1-D arrays) of n floats.
+    Their floats are spelled once, by ``repr``, for both files, a block
+    at a time; the JSON list takes the same strings, save JSON's
+    ``NaN``, ``Infinity`` and ``-Infinity`` for the CSV's ``nan``,
+    ``inf`` and ``-inf``. Only the first of a table's keys in ``doc`` is
+    written as it is spelled; the lists of the others wait in unnamed
+    temporary files until their keys come.
     """
-    with _open_text(path) as fh:
+    table_of = {key: table for table in tables for key in table[2]}
+    waiting = {}
+    with _open_text(path) as fh, contextlib.ExitStack() as stack:
         fh.write("{")
         for n, (key, value) in enumerate(doc.items()):
             fh.write(f"{',' if n else ''}\n {json.dumps(key)}: ")
+            if key in waiting:
+                spill = waiting.pop(key)
+                spill.seek(0)
+                shutil.copyfileobj(spill, fh)
+                continue
+            if key in table_of:
+                table_path, header, keys = table_of[key]
+                sinks = [fh if k == key else stack.enter_context(
+                    tempfile.TemporaryFile("w+", encoding="utf-8",
+                                           newline="\n")) for k in keys]
+                _write_spelled(table_path, header, [doc[k] for k in keys],
+                               sinks)
+                waiting.update((k, sink) for k, sink in zip(keys, sinks)
+                               if sink is not fh)
+                continue
             if not (isinstance(value, np.ndarray) and value.ndim == 1
                     or isinstance(value, list)
                     and _SCALARS.issuperset(map(type, value))):
@@ -84,6 +118,27 @@ def write_indented_json(path, doc: dict) -> None:
                 fh.write(f"{',' if lo else '['}\n  {text[1:-1]}")
             fh.write("\n ]")
         fh.write("\n}\n" if doc else "}\n")
+
+
+def _write_spelled(path, header: str, columns: list, sinks: list) -> None:
+    """Write the CSV of ``write_table(path, header, [range(n),
+    *columns])``, and each of the float ``columns`` as a JSON list at the
+    indent of a top-level value to its text sink in ``sinks``; each float
+    is spelled once, by ``repr``."""
+    count = len(columns[0])
+    with _open_text(path) as fh:
+        fh.write(header + "\n")
+        for lo in range(0, count, _BLOCK_LINES):
+            hi = min(lo + _BLOCK_LINES, count)
+            spelled = [list(map(repr, _values(c[lo:hi]))) for c in columns]
+            fh.write(_csv_lines([map(repr, range(lo, hi)), *spelled],
+                                hi - lo))
+            for sink, strings in zip(sinks, spelled):
+                sink.write(f"{',' if lo else '['}\n  " + ",\n  ".join(
+                    map(_JSON_SPELLING.get, strings, strings)))
+            del spelled, strings  # one block's strings at a time
+    for sink in sinks:
+        sink.write("\n ]" if count else "[]")
 
 
 def _csv_lines(columns: list, count: int) -> str:

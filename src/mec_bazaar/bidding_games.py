@@ -190,13 +190,15 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     demand (a copy of the initial demand, so the scenario's own is never
     written) and the base demand, and the utility's ``w`` and ``alpha``
     only on a market where they are read. Besides these the workspace
-    holds the spare that ``te_phase`` writes the new demand into (the
-    two swap every iteration) and ``te_phase``'s ``grad``, which then
-    holds the demand step whose norm is taken; a market with live pairs
-    adds a ``scratch`` for chi + base, and on any other market the
-    gradient is built in ``grad`` itself. The workspace is released and
-    the final demand transposed back to N x T before the market state
-    and agent economics are computed, which set the run's memory peak.
+    holds one spare, in which ``te_phase`` builds the gradient, steps
+    and projects it into the new demand; the demand step, whose norm is
+    taken, is then written over the old demand, and the two buffers
+    swap every iteration. A market with live pairs adds a ``scratch``
+    for chi + base; on any other market the gradient is built in the
+    spare alone. The workspace is released and the final demand
+    transposed back to N x T before the market state and agent
+    economics are computed, which set the run's memory peak on a market
+    without live pairs.
 
     Whether any customer pair's utility can still slope up (``any_live``)
     is found once, before the workspace is allocated; on a market with
@@ -220,7 +222,6 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
         # never read; views keep the kernel's T x N shapes
         w_t, alpha_t, scratch = w.T, alpha.T, None
     spare = np.empty_like(chi)
-    grad = np.empty_like(chi)
     q = np.ascontiguousarray(scenario.shiftable_total, dtype=float)
     a2 = np.ascontiguousarray(scenario.cost_coeffs[:, 0], dtype=float)
     a1 = np.ascontiguousarray(scenario.cost_coeffs[:, 1], dtype=float)
@@ -249,9 +250,9 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
         step2 = eta2 if cfg.eta2_init is not None else (
             eta2 * totals / customers)
         spare = _kernels.te_phase(chi, base_t, w_t, alpha_t, load, totals,
-                                  q, step2, out=spare, grad=grad,
-                                  scratch=scratch, live=live)
-        delta = _frobenius(np.subtract(spare, chi, out=grad))
+                                  q, step2, out=spare, scratch=scratch,
+                                  live=live)
+        delta = _frobenius(np.subtract(spare, chi, out=chi))
         rec_price.append(price)
         rec_load.append(load)
         rec_delta.append(delta)
@@ -274,7 +275,7 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
         eta1=np.array(rec_eta1),
         eta2=np.array(rec_eta2),
     )
-    del spare, grad, scratch, base_t, w_t, alpha_t
+    del spare, scratch, base_t, w_t, alpha_t
     demand = np.ascontiguousarray(chi.T)
     del chi
     if status == STATUS_CONVERGED:

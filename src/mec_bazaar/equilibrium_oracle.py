@@ -318,28 +318,29 @@ def check_gradients(scenario: Scenario, n_samples: int = 100,
     guarded = 0
     for _ in range(n_samples):
         raw = rng.uniform(0.1, 1.0, size=(n, t_count))
-        chi = raw * (scenario.shiftable_total / raw.sum(axis=1))[:, None]
         lam = scenario.solver.lambda_init * rng.uniform(0.5, 2.0,
                                                         size=(m, t_count))
         i = int(rng.integers(n))
         j = int(rng.integers(m))
         t = int(rng.integers(t_count))
+        # slot t of the feasible state raw * (q / raw's row sums)
+        chi = raw[:, t] * (scenario.shiftable_total / raw.sum(axis=1))
         lam_col = lam[:, t]
         total = lam_col.sum()
-        load = float((chi[:, t] + base[:, t]).sum())
+        load = float((chi + base[:, t]).sum())
 
         # customer gradient vs finite difference of the slot payoff
         analytic = float(_kernels.te_gradient(
-            chi[i, t], base[i, t], w[i, t], alpha[i, t], load, total))
-        other = load - chi[i, t] - base[i, t]
+            chi[i], base[i, t], w[i, t], alpha[i, t], load, total))
+        other = load - chi[i] - base[i, t]
 
         def slot_payoff(v: float) -> float:
             x = v + base[i, t]
             price = (other + x) / total
             return te_utility(w[i, t], alpha[i, t], x) - x * price
 
-        h = 1e-7 * (1.0 + abs(chi[i, t]))
-        fd = (slot_payoff(chi[i, t] + h) - slot_payoff(chi[i, t] - h)) / (2 * h)
+        h = 1e-7 * (1.0 + abs(chi[i]))
+        fd = (slot_payoff(chi[i] + h) - slot_payoff(chi[i] - h)) / (2 * h)
         max_te = max(max_te, _rel_err(analytic, fd))
 
         # supplier profit derivative vs finite difference

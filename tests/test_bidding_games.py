@@ -430,6 +430,15 @@ class TestRunDtoa:
         s = generate_scenario(GenerationParams(num_te=2000, seed=1))
         assert traced_peak(run_dtoa, s) <= 8.5 * s.initial_demand.nbytes
 
+    def test_live_pair_memory_peak(self):
+        # test_live_pair_market's market: here the loop sets the peak,
+        # with six T x N copies (demand, spare, scratch, and base, w and
+        # alpha transposed) and the sort fallback's temporaries on the
+        # customers the shift would clip; it reads 12.02x N x T bytes
+        s = generate_scenario(GenerationParams(
+            num_te=2000, seed=3, w_range=(5000.0, 20000.0)))
+        assert traced_peak(run_dtoa, s) <= 12.5 * s.initial_demand.nbytes
+
     def test_lemma1_region_at_convergence(self):
         s = generate_scenario(GenerationParams(
             num_te=30, num_es=4, num_slots=6, seed=21))

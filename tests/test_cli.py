@@ -477,6 +477,29 @@ class TestRun:
                         "7d950095d0a86a34",
         }
 
+    def test_default_schedule_bundle_pinned(self, tmp_path):
+        # the reference run (gen --seed 1, default run): any change to a
+        # bit the solver computes or to a byte of the format changes
+        # these digests
+        path = tmp_path / "s.json"
+        assert cli("gen", "--seed", "1", "-o", str(path)).returncode == 0
+        out_dir = tmp_path / "o"
+        out = cli("run", "--scenario", str(path), "--out-dir", str(out_dir))
+        assert out.returncode == 0, out.stderr
+        digests = {name: hashlib.sha256((out_dir / name).read_bytes())
+                   .hexdigest() for name in ("result.json", "trace.csv",
+                                             "demands.csv", "bids.csv")}
+        assert digests == {
+            "result.json": "8327f1a221ec5f2ef3ca4eab359920a9c459fdb7b597d4"
+                           "f9a15c023b4df4db83",
+            "trace.csv": "53a70a2fd4faaed477b8113ac27c2f70293cdc35f83a2371"
+                         "307829dc7b63adcf",
+            "demands.csv": "a34ddf84fe35037bd89814ecda2e6204171a3ebef2dcca"
+                           "1d0c06d10a0e460071",
+            "bids.csv": "e44f1be70cefdecacfee90602c542c3ce3dfe55cd9bdc431"
+                        "0bf13b06c1785f58",
+        }
+
     def test_bid_past_rivals_sum_exit(self, tmp_path):
         # a huge but finite bid step leaves one supplier holding every
         # bid once the run settles: Lemma 1's region is left

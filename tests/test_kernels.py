@@ -392,11 +392,11 @@ class TestLivePairs:
             assert_same_bits(_kernels.te_phase(*args, q, eta2,
                                                live=given_live),
                              want_phase)
-        out, grad, scratch = dirty(chi, 3)
+        out, scratch = dirty(chi, 2)
         assert_same_bits(_kernels.te_phase(*args, q, eta2, out=out,
-                                           grad=grad, scratch=scratch,
-                                           live=live), want_phase)
-        # without a live pair the gradient is built in grad alone
+                                           scratch=scratch, live=live),
+                         want_phase)
+        # without a live pair the gradient is built in out alone
         assert np.isnan(scratch).all() != live
 
     def test_reference_market_has_no_live_pairs(self):
@@ -415,7 +415,9 @@ def dirty(like, count):
 class TestWorkspace:
     """With caller buffers the kernels give the bytes of the allocating
     call, leave their inputs alone and do not depend on what the buffers
-    held before."""
+    held before. The projection also runs in place (``out=cand``), as
+    ``te_phase`` runs it, on columns of every kind: unclipped, clipped,
+    about one entry left, zeroed, NaN and overflowing."""
 
     @deterministic
     @given(seed=seeds, t=st.integers(1, 30), kinds=rows)
@@ -434,26 +436,53 @@ class TestWorkspace:
         assert_same_bits(totals, before[1])
 
     @deterministic
+    @given(seed=seeds, t=st.integers(1, 30), kinds=rows)
+    @example(seed=0, t=3, kinds=[(shape, total) for shape in SHAPES
+                                 for total in TOTALS])
+    def test_projection_in_place_same_bytes(self, seed, t, kinds):
+        rng = np.random.default_rng(seed)
+        made = [make_row(rng, shape, total, t) for shape, total in kinds]
+        # columns whose sum overflows to +inf and to -inf, and one that
+        # holds +inf and -inf (its sum is NaN)
+        made += [(np.full(t, 1e308), 1.0), (np.full(t, -1e308), 1.0),
+                 (np.resize([np.inf, -np.inf, 1.0], t), 1.0)]
+        cand, totals = columns(made)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _kernels.project_rows_np(cand, totals)
+            got = _kernels.project_rows_np(cand, totals, out=cand)
+        assert got is cand
+        assert_same_bits(got, want)
+
+    @deterministic
     @given(seed=seeds, n=st.integers(1, 20), t=st.integers(1, 12),
            eta2=st.floats(1e-3, 1e3),
-           kinds=st.lists(st.sampled_from(TOTALS), min_size=20,
-                          max_size=20))
+           kinds=st.lists(st.sampled_from(TOTALS + ("nan", "overflowing")),
+                          min_size=20, max_size=20))
     def test_phase_same_bytes(self, seed, n, t, eta2, kinds):
         rng = np.random.default_rng(seed)
         args = customer_inputs(rng, n, t)
         # daily totals that leave each stepped customer unclipped, clip
-        # some of it, leave about one entry or zero every entry
+        # some of it, leave about one entry or zero every entry; a NaN
+        # demand, or one so large that its stepped sum overflows, takes
+        # the unclipped total
         scale = {"unclipped": 1.0, "clipped": 0.3, "one_left": 1e-3,
-                 "zero": 0.0}
+                 "zero": 0.0, "nan": 1.0, "overflowing": 1.0}
         q = args[0].sum(axis=0) * np.array([scale[k] for k in kinds[:n]])
+        chi = args[0]
+        for i, kind in enumerate(kinds[:n]):
+            if kind == "nan":
+                chi[rng.integers(t), i] = np.nan
+            elif kind == "overflowing":
+                chi[:, i] = 1e308
         before = [a.copy() for a in (*args, q)]
-        want = _kernels.te_phase(*args, q, eta2)
-        out, grad, scratch = dirty(args[0], 3)
-        for _ in range(2):
-            got = _kernels.te_phase(*args, q, eta2, out=out, grad=grad,
-                                    scratch=scratch)
-            assert got is out
-            assert_same_bits(got, want)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _kernels.te_phase(*args, q, eta2)
+            out, scratch = dirty(chi, 2)
+            for _ in range(2):
+                got = _kernels.te_phase(*args, q, eta2, out=out,
+                                        scratch=scratch)
+                assert got is out
+                assert_same_bits(got, want)
         for a, b in zip((*args, q), before):
             assert_same_bits(a, b)
 
@@ -474,10 +503,9 @@ class TestWorkspace:
                     s.shiftable_total, 0.01)
             live = _kernels.any_live(base, w, alpha)
             assert live == (w is raised)
-            out, grad, scratch = dirty(chi, 3)
-            _kernels.te_phase(*args, out=out, grad=grad, scratch=scratch,
-                              live=live)
-            peak = traced_peak(_kernels.te_phase, *args, out=out, grad=grad,
+            out, scratch = dirty(chi, 2)
+            _kernels.te_phase(*args, out=out, scratch=scratch, live=live)
+            peak = traced_peak(_kernels.te_phase, *args, out=out,
                                scratch=scratch, live=live)
             assert peak < 0.5 * chi.nbytes
 

@@ -6,6 +6,7 @@ import pytest
 from mec_bazaar import _kernels
 from mec_bazaar.bidding_games import run_dtoa
 from mec_bazaar.equilibrium_oracle import (
+    GradientCheckReport,
     best_response,
     check_gradients,
     psi,
@@ -241,6 +242,25 @@ class TestCheckGradients:
         assert found is not None, "no sample tripped the guard region"
         assert found.interior_samples + found.guarded_samples == 30
         assert found.sign_agreement == 1.0
+
+    @pytest.mark.parametrize("market, samples, seed, want", [
+        (dict(seed=3), 40, 11, GradientCheckReport(
+            max_te_rel_err=6.13499362998462e-08,
+            max_es_rel_err=5.995394567945149e-09, sign_agreement=1.0,
+            interior_samples=40, guarded_samples=0)),
+        (dict(num_te=10, num_es=3, num_slots=4, seed=12), 30, 0,
+         GradientCheckReport(
+             max_te_rel_err=5.603580576116772e-08,
+             max_es_rel_err=3.927863875779104e-07, sign_agreement=1.0,
+             interior_samples=29, guarded_samples=1)),
+    ])
+    def test_report_pinned(self, market, samples, seed, want):
+        # the fields, to the bit, that the check gave when it built
+        # every slot of each sampled state: it now builds only the
+        # sampled slot, from the same draws
+        report = check_gradients(generate_scenario(GenerationParams(
+            **market)), n_samples=samples, seed=seed)
+        assert report == want
 
     @pytest.mark.parametrize("kernel", ["te_gradient", "es_direction"])
     def test_checks_the_solver_kernel(self, monkeypatch, kernel):

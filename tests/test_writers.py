@@ -249,6 +249,27 @@ class TestBlockWriters:
         assert (tmp_path / "got").read_bytes() == \
             (tmp_path / "want").read_bytes()
 
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK, _BLOCK + 1])
+    def test_json_with_tables(self, tmp_path, size):
+        # one table's keys out of order and apart in the document, and a
+        # second table whose keys follow one another
+        rng = np.random.default_rng(size)
+        a, b, c, d = (_floats(rng, size) for _ in range(4))
+        doc = {"b": b.tolist(), "x": 1, "a": a, "c": c.tolist(),
+               "d": d.tolist()}
+        tables = [(tmp_path / "got1.csv", "id,a,b", ("a", "b")),
+                  (tmp_path / "got2.csv", "id,c,d", ("c", "d"))]
+        write_indented_json(tmp_path / "got.json", doc, tables)
+        _reference_json(tmp_path / "want.json", {**doc, "a": a.tolist()})
+        _reference_csv(tmp_path / "want1.csv", ["id", "a", "b"],
+                       zip(range(size), a.tolist(), b.tolist()))
+        _reference_csv(tmp_path / "want2.csv", ["id", "c", "d"],
+                       zip(range(size), c.tolist(), d.tolist()))
+        for name in ("", "1", "2"):
+            suffix = ".csv" if name else ".json"
+            assert (tmp_path / f"got{name}{suffix}").read_bytes() == \
+                (tmp_path / f"want{name}{suffix}").read_bytes()
+
     @pytest.mark.parametrize("size", [1, _BLOCK, 2 * _BLOCK + 1])
     def test_table(self, tmp_path, size):
         rng = np.random.default_rng(size)
