@@ -5,7 +5,9 @@ values at a time: the block's floats are spelled by ``repr`` (or by
 json's C encoder, which spells them alike), its strings are joined once
 and written with one write, so what a writer holds does not grow with
 the market. A JSON document and CSV tables that hold the same floats
-share one spelling of them (``write_indented_json``'s ``tables``).
+share one spelling of them (``write_indented_json``'s ``tables``), and
+a table's spelling in one output can be kept (``write_json``'s ``tee``)
+and written again into a CSV (``write_grid``'s already spelled cells).
 ``scenario_io`` writes scenario files and the result bundle with them,
 ``metrics_report.emit`` the report and its figures, and ``cli`` the run
 manifest and the oracle report.
@@ -14,6 +16,7 @@ manifest and the oracle report.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import shutil
 import tempfile
@@ -45,25 +48,41 @@ def _values(block) -> list:
     return block.tolist() if isinstance(block, np.ndarray) else block
 
 
-def write_json(fh, doc: dict) -> None:
+def write_json(fh, doc: dict, tee=None) -> None:
     """Write ``doc`` to the text sink ``fh`` with the bytes of
     ``json.dump(doc, fh)``, an array standing for its ``tolist()``. A list
     or an array goes through json's C encoder ``_BLOCK_LINES`` elements
-    (or rows of about as many values) at a time, anything else whole."""
+    (or rows of about as many values) at a time, anything else whole.
+
+    ``tee``, (key, sink), also writes the JSON text of ``doc[key]`` to the
+    text sink ``sink``, the same strings as they are written to ``fh``.
+    """
     fh.write("{")
     for n, (key, value) in enumerate(doc.items()):
         fh.write(f"{', ' if n else ''}{json.dumps(key)}: ")
+        out = _Tee(fh, tee[1]) if tee and key == tee[0] else fh
         if not isinstance(value, (list, np.ndarray)):
-            fh.write(json.dumps(value))
+            out.write(json.dumps(value))
             continue
         width = value[:1].size if isinstance(value, np.ndarray) else 1
         step = max(1, _BLOCK_LINES // max(1, width))
-        fh.write("[")
+        out.write("[")
         for lo in range(0, len(value), step):
             text = _ENCODE(_values(value[lo:lo + step]))
-            fh.write(f"{', ' if lo else ''}{text[1:-1]}")
-        fh.write("]")
+            out.write(f"{', ' if lo else ''}{text[1:-1]}")
+        out.write("]")
     fh.write("}")
+
+
+class _Tee:
+    """Text sink that writes each string to two sinks."""
+
+    def __init__(self, first, second):
+        self.first, self.second = first, second
+
+    def write(self, text: str) -> None:
+        self.first.write(text)
+        self.second.write(text)
 
 
 def write_indented_json(path, doc: dict, tables=()) -> None:
@@ -171,13 +190,24 @@ def write_grid(path, header: str, cells: list, per_row=(),
     order. A line holds the row (counted from ``first``), the slot, the
     value of each of ``cells`` there, and the row's value of each 1-D
     array of ``per_row``; each value is spelled once, by ``repr``.
+
+    A cell may also come already spelled: an iterator over the rows of
+    the grid, each the list of its strings, one a slot, which are written
+    as they are. The iterator is advanced a block of rows at a time and
+    left just past the grid's last row; a block it cuts short raises
+    ValueError.
     """
-    rows, slots = cells[0].shape
+    rows, slots = next(c for c in cells if isinstance(c, np.ndarray)).shape
     step = max(1, _BLOCK_LINES // slots)
     slot_ids = [str(t) for t in range(slots)]
 
     def each_slot(strings):
         return [s for s in strings for _ in slot_ids]
+
+    def spelled(cell, lo, hi):
+        if isinstance(cell, np.ndarray):
+            return map(repr, cell[lo:hi].ravel().tolist())
+        return itertools.chain.from_iterable(itertools.islice(cell, hi - lo))
 
     with _open_text(path) as fh:
         fh.write(header + "\n")
@@ -186,7 +216,7 @@ def write_grid(path, header: str, cells: list, per_row=(),
             fh.write(_csv_lines(
                 [each_slot(map(str, range(first + lo, first + hi))),
                  slot_ids * (hi - lo),
-                 *(map(repr, c[lo:hi].ravel().tolist()) for c in cells),
+                 *(spelled(c, lo, hi) for c in cells),
                  *(each_slot(map(repr, v[lo:hi].tolist()))
                    for v in per_row)],
                 (hi - lo) * slots))

@@ -172,7 +172,11 @@ def _check_lemma1(bids: np.ndarray, iteration: int) -> None:
 
 
 def run_dtoa(scenario: Scenario) -> EquilibriumResult:
-    """Iterate both games from the scenario's initial profiles.
+    """Iterate both games from the validated scenario's initial profiles.
+
+    The scenario must have passed ``Scenario.validate`` (as
+    ``load_scenario`` and ``generate_scenario`` leave it); only its
+    solver block is checked again here, as a caller may have replaced it.
 
     The run is converged once, in the same iteration, the demand step and
     the bid step are both below ``epsilon`` in Frobenius norm. A settled
@@ -206,7 +210,7 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     demand never moves and the projection keeps the demand nonnegative,
     so such a market stays flat for the whole run.
     """
-    scenario.validate()
+    scenario.solver.validate()
     cfg = scenario.solver
     base = np.ascontiguousarray(scenario.base_demand, dtype=float)
     w = np.ascontiguousarray(scenario.utility_w, dtype=float)

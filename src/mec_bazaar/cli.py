@@ -232,7 +232,8 @@ def cmd_run(args) -> int:
                     "iteration cap (%d)", baseline.iterations)
 
     try:
-        paths = save_result(args.out_dir, result, scenario)
+        paths = save_result(args.out_dir, result, scenario,
+                            source=(args.scenario, digest))
         report = build_report(scenario, baseline, result,
                               runtime_seconds=runtime)
         paths.update(emit(report, args.out_dir))

@@ -58,13 +58,15 @@ class BaselineResult:
 
 
 def compute_baseline(scenario: Scenario) -> BaselineResult:
-    """Before-algorithm state: initial demand, supplier game at rest.
+    """Before-algorithm state of a validated scenario: initial demand,
+    supplier game at rest.
 
     Demand stays at the stored initial profile; the supplier game alone
     iterates to its own fixed point under the scenario's step schedule,
     and the baseline prices and economics are derived from that state.
+    As in ``run_dtoa``, only the solver block is checked again.
     """
-    scenario.validate()
+    scenario.solver.validate()
     chi0 = scenario.initial_demand
     loads = (chi0 + scenario.base_demand).sum(axis=0)
     bids, iterations, converged = supplier_fixed_point(

@@ -33,7 +33,9 @@ import json
 import math
 import os
 import reprlib
+import shutil
 import stat
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,25 +219,37 @@ class _HashingWriter:
 def save_scenario(path, scenario: Scenario,
                   generation: GenerationParams | None = None) -> None:
     """Write a scenario file and its companion; optionally record the
-    generation recipe."""
+    generation recipe.
+
+    The JSON text of a float64 ``initial_demand``, as the scenario file
+    spells it, is also kept in the companion (see ``_write_companion``),
+    so that ``save_result`` can copy it rather than spell it again. It
+    waits in an unnamed temporary file until the companion is written.
+    """
     scenario.validate()
     doc = _scenario_to_dict(scenario)
     if generation is not None:
         gen = dataclasses.asdict(generation)
         gen.pop("solver", None)  # already mirrored in the solver block
         doc["generation"] = gen
-    with open(path, "wb") as fh:
-        out = _HashingWriter(fh)
-        write_json(out, doc)
-        out.write("\n")
-    # The companion is only a cache: skip it beside anything but a regular
-    # file (a pipe, or a device link such as /dev/stdout), and when it
-    # cannot be written.
-    try:
-        if stat.S_ISREG(os.lstat(path).st_mode):
-            _write_companion(path, doc, out.digest.hexdigest())
-    except OSError:
-        pass
+    kept = scenario.initial_demand.dtype == np.float64
+    with tempfile.TemporaryFile("w+", encoding="utf-8",
+                                newline="\n") as spill:
+        with open(path, "wb") as fh:
+            out = _HashingWriter(fh)
+            write_json(out, doc,
+                       tee=("initial_demand", spill) if kept else None)
+            out.write("\n")
+        spill.flush()
+        # The companion is only a cache: skip it beside anything but a
+        # regular file (a pipe, or a device link such as /dev/stdout), and
+        # when it cannot be written.
+        try:
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                _write_companion(path, doc, out.digest.hexdigest(),
+                                 spill.buffer if kept else None)
+        except OSError:
+            pass
 
 
 # solver keys no longer in SolverConfig, each with the one value every run
@@ -243,6 +257,9 @@ def save_scenario(path, scenario: Scenario,
 _RETIRED_SOLVER_KEYS = {"relative_stopping": False, "singularity_delta": 1e-6}
 _TABLES = ("cost_coeffs", "utility_alpha", "utility_w", "base_demand",
            "shiftable_total", "initial_demand")
+# header key of the companion's last record: the byte length of the JSON
+# text of initial_demand
+_DEMAND_TEXT = "initial_demand_json"
 _WHITESPACE = json.decoder.WHITESPACE.match
 
 
@@ -303,40 +320,75 @@ def _companion_path(path) -> str:
     return os.fspath(path) + ".cache"
 
 
-def _write_companion(path, doc: dict, digest: str) -> None:
+def _write_companion(path, doc: dict, digest: str,
+                     demand_text=None) -> None:
     """Write the companion of the scenario file ``path``, whose bytes
     have sha256 ``digest``: one uint8 record holding the JSON of the
     digest and the non-table fields, then each table as a float64
     record. ``np.save`` writes no timestamps, so the bytes are a pure
     function of the scenario. The file is renamed into place whole.
+
+    ``demand_text``, a binary file holding the JSON text of
+    ``initial_demand`` as the scenario file spells it, is copied into
+    one more uint8 record at the end, its length in bytes recorded in
+    the header as ``_DEMAND_TEXT``.
     """
     target = _companion_path(path)
     tmp = f"{target}.{os.getpid()}.tmp"
     header = {"sha256": digest,
               "fields": {k: v for k, v in doc.items() if k not in _TABLES}}
+    if demand_text is not None:
+        header[_DEMAND_TEXT] = demand_text.seek(0, os.SEEK_END)
+        demand_text.seek(0)
     try:
         with open(tmp, "wb") as fh:
             np.save(fh, np.frombuffer(json.dumps(header).encode(), np.uint8))
             for name in _TABLES:
                 np.save(fh, np.asarray(doc[name], dtype=np.float64))
+            if demand_text is not None:
+                np.lib.format.write_array_header_1_0(fh, {
+                    "descr": "|u1", "fortran_order": False,
+                    "shape": (header[_DEMAND_TEXT],)})
+                shutil.copyfileobj(demand_text, fh)
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
+def _read_header(fh) -> dict:
+    """The header record of the companion open at ``fh``."""
+    header = json.loads(
+        np.lib.format.read_array(fh, allow_pickle=False).tobytes())
+    if not isinstance(header, dict):
+        raise ValueError("companion header is not an object")
+    return header
+
+
+def _at_demand_text(fh, header: dict) -> bool:
+    """Whether the companion open at ``fh``, just past its tables, holds
+    the text record its header announces and ends with it; ``fh`` is
+    left at the record's first byte."""
+    size = header[_DEMAND_TEXT]
+    if type(size) is not int or np.lib.format.read_magic(fh) != (1, 0):
+        return False
+    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+    return (shape == (size,) and dtype == np.uint8
+            and os.fstat(fh.fileno()).st_size == fh.tell() + size)
+
+
 def _read_companion(path) -> tuple[dict, str] | None:
     """The document stored in the companion of ``path`` and the sha256 of
     ``path``, or None unless the companion is readable, records that
-    digest and holds every table as a float64 array. The scenario file
-    is hashed only once its companion has opened."""
+    digest and holds every table as a float64 array. A companion whose
+    header announces the text record of ``initial_demand`` must also end
+    with a whole one, whose header is read but not its text. The
+    scenario file is hashed only once its companion has opened."""
     try:
         with open(_companion_path(path), "rb") as fh:
-            header = json.loads(
-                np.lib.format.read_array(fh, allow_pickle=False).tobytes())
+            header = _read_header(fh)
             digest = _sha256(path)
-            if not (isinstance(header, dict)
-                    and header.get("sha256") == digest
+            if not (header.get("sha256") == digest
                     and isinstance(header.get("fields"), dict)):
                 return None
             doc = header["fields"]
@@ -345,6 +397,8 @@ def _read_companion(path) -> tuple[dict, str] | None:
                 if table.dtype != np.float64:
                     return None
                 doc[name] = table
+            if _DEMAND_TEXT in header and not _at_demand_text(fh, header):
+                return None
     except (OSError, ValueError, RecursionError):
         return None
     return doc, digest
@@ -444,13 +498,24 @@ def load_scenario(path, *, with_digest: bool = False):
 # Result bundles
 # --------------------------------------------------------------------------
 
-def save_result(out_dir: str, result, scenario: Scenario) -> dict:
+def save_result(out_dir: str, result, scenario: Scenario,
+                source: tuple[str, str] | None = None) -> dict:
     """Persist a solver result bundle under ``out_dir``.
 
     Writes result.json plus trace.csv, demands.csv and bids.csv; returns
     a dict of the paths written. The bundle is a pure function of the
     result (no timestamps or timings), so identical runs produce
     bit-identical files.
+
+    ``source``, (path, sha256), names the scenario file ``scenario`` was
+    loaded from and the digest of the bytes it was loaded from, as
+    ``load_scenario(path, with_digest=True)`` returns them. When the
+    file's companion was written for those bytes and holds the text of
+    ``initial_demand``, demands.csv copies its ``chi_before`` strings
+    from there, a block of rows at a time: json's C encoder spells a
+    finite float as ``repr`` does, so they are the strings ``repr``
+    would give. Otherwise, or when the text does not hold T numbers a
+    row for each customer, the whole file is spelled by ``repr``.
     """
     os.makedirs(out_dir, exist_ok=True)
     econ = result.economics
@@ -479,10 +544,71 @@ def save_result(out_dir: str, result, scenario: Scenario) -> dict:
                "iteration,slot,price,load,frobenius_delta,eta1,eta2",
                [trace.price, trace.load],
                per_row=[trace.delta, trace.eta1, trace.eta2], first=1)
-    write_grid(paths["demands"], "te_id,slot,chi_before,chi_after",
-               [scenario.initial_demand, result.demand])
+    if source is None or not _copy_demand_text(
+            paths["demands"], result.demand, *source):
+        write_grid(paths["demands"], _DEMANDS_HEADER,
+                   [scenario.initial_demand, result.demand])
     write_grid(paths["bids"], "es_id,slot,lambda_final", [result.bids])
     return paths
+
+
+_DEMANDS_HEADER = "te_id,slot,chi_before,chi_after"
+_TEXT_BLOCK = 1 << 16  # bytes of the initial demand's text read at a time
+
+
+def _copy_demand_text(path, demand: np.ndarray, scenario_path,
+                      digest: str) -> bool:
+    """Write demands.csv to ``path`` with ``chi_before`` copied from the
+    text of ``initial_demand`` in the companion of ``scenario_path``, and
+    ``chi_after`` from ``demand``. False, leaving ``path`` for the caller
+    to write over, unless the companion was written for the bytes of
+    sha256 ``digest`` and its text is a table of ``demand``'s shape."""
+    try:
+        with open(_companion_path(scenario_path), "rb") as fh:
+            header = _read_header(fh)
+            if header.get("sha256") != digest or _DEMAND_TEXT not in header:
+                return False
+            for _ in _TABLES:  # skipped, not read
+                if np.lib.format.read_magic(fh) != (1, 0):
+                    return False
+                shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+                fh.seek(math.prod(shape) * dtype.itemsize, os.SEEK_CUR)
+            if not _at_demand_text(fh, header):
+                return False
+            rows = _text_rows(fh, header[_DEMAND_TEXT], demand.shape[1])
+            write_grid(path, _DEMANDS_HEADER, [rows, demand])
+            return next(rows, None) is None
+    except (OSError, ValueError, RecursionError):
+        return False
+
+
+def _text_rows(fh, size: int, slots: int):
+    """The rows of the JSON text of a table, the ``size`` bytes at
+    ``fh``, each as the list of its ``slots`` numbers' strings; the text
+    is read ``_TEXT_BLOCK`` bytes at a time. Raises ValueError where the
+    text is not a list of such rows."""
+    if fh.read(2) != b"[[":
+        raise ValueError("text of a table must open with [[")
+    left, tail = size - 2, ""
+    while left > 0:
+        block = fh.read(min(left, _TEXT_BLOCK))
+        if not block:
+            raise ValueError("text of a table cut short")
+        left -= len(block)
+        rows = (tail + block.decode("ascii")).split("], [")
+        tail = rows.pop()
+        for row in rows:
+            yield _row_strings(row, slots)
+    if not tail.endswith("]]"):
+        raise ValueError("text of a table must close with ]]")
+    yield _row_strings(tail[:-2], slots)
+
+
+def _row_strings(row: str, slots: int) -> list:
+    strings = row.split(", ")
+    if len(strings) != slots:
+        raise ValueError(f"a row of {len(strings)} numbers, not {slots}")
+    return strings
 
 
 def _read_grid(path: str, shape: tuple[int, int], fields: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
@@ -640,18 +641,51 @@ class TestCompanion:
         return run.returncode, oracle.returncode, files, \
             manifest["scenario_sha256"]
 
+    @staticmethod
+    def altered(blob: bytes, case: str) -> bytes:
+        """The companion ``blob`` with its text record of the initial
+        demand dropped (as a companion written before it existed), cut
+        to its first two rows (a whole companion whose text is too
+        short), or with the header of another digest."""
+        fh = io.BytesIO(blob)
+        records = []
+        while fh.tell() < len(blob):
+            records.append(np.lib.format.read_array(fh))
+        assert len(records) == 8
+        header = json.loads(records[0].tobytes())
+        if case == "older":
+            del header["initial_demand_json"]
+            records.pop()
+        elif case == "cut short":
+            text = records[-1].tobytes()
+            end = text.index(b"], [", text.index(b"], [") + 1) + 1
+            records[-1] = np.frombuffer(text[:end] + b"]", np.uint8)
+            header["initial_demand_json"] = records[-1].size
+        else:
+            header["sha256"] = hashlib.sha256(b"other").hexdigest()
+        records[0] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+        out = io.BytesIO()
+        for record in records:
+            np.save(out, record)
+        return out.getvalue()
+
     def test_same_bytes_without_companion(self, tmp_path):
         path = tmp_path / "s.json"
         assert cli("gen", "--seed", "4", "--tes", "30", "--ess", "4",
                    "--slots", "5", "-o", str(path)).returncode == 0
         companion = Path(str(path) + ".cache")
         assert companion.exists()
+        blob = companion.read_bytes()
         warm = self.outputs(path, tmp_path, "warm")
         companion.unlink()
         cold = self.outputs(path, tmp_path, "cold")
         assert warm == cold
         assert warm[3] == hashlib.sha256(path.read_bytes()).hexdigest()
         assert warm[0] == 0
+        # demands.csv is spelled afresh from each of these companions
+        for case in ("older", "cut short", "other digest"):
+            companion.write_bytes(self.altered(blob, case))
+            assert self.outputs(path, tmp_path, case) == warm, case
 
 
 class TestOracle:

@@ -510,6 +510,51 @@ class TestWorkspace:
             assert peak < 0.5 * chi.nbytes
 
 
+class TestSlotBlocks:
+    """On a T x N array larger than ``_BLOCK_BYTES`` a row (slot) block,
+    ``te_phase`` steps a block of slots at a time and gives the bits of
+    the step composed in one pass over the whole array."""
+
+    @staticmethod
+    def one_pass(chi, base, w, alpha, load, totals, q, eta2, live):
+        out = _kernels.te_gradient(chi, base, w, alpha, load, totals,
+                                   live=live)
+        out *= column(eta2)
+        out += chi
+        return _kernels.project_rows_np(out, q, out=out)
+
+    @pytest.mark.parametrize("kinds", [DEAD, LIVENESS])
+    @pytest.mark.parametrize("per_slot", [False, True])
+    def test_same_bits_as_one_pass(self, kinds, per_slot):
+        # 25 slots of 80 KB: blocks of 6, 6, 6, 6 and 1 slots
+        t, n = 25, 10_007
+        step = _kernels._BLOCK_BYTES // (8 * n)
+        assert 1 < step < t and t % step
+        rng = np.random.default_rng(len(kinds) + 2 * per_slot)
+        args, live_mask = mixed_market(rng, n, t, kinds)
+        chi = args[0]
+        live = _kernels.any_live(*args[1:4])
+        assert live == live_mask.any() == (kinds == LIVENESS)
+        # totals that leave a column unclipped, clip it or zero it; a NaN
+        # demand, and demands whose stepped sum overflows
+        q = chi.sum(axis=0) * rng.choice([1.0, 0.3, 0.0], size=n)
+        chi[rng.integers(t, size=9), rng.integers(n, size=9)] = np.nan
+        chi[:, rng.integers(n, size=5)] = 1e308
+        eta2 = rng.uniform(0.5, 2.0, size=t) if per_slot else 0.7
+        before = [a.copy() for a in (*args, q)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = self.one_pass(*args, q, eta2, live)
+            assert_same_bits(_kernels.te_phase(*args, q, eta2, live=live),
+                             want)
+            out, scratch = dirty(chi, 2)
+            assert_same_bits(_kernels.te_phase(*args, q, eta2, out=out,
+                                               scratch=scratch, live=live),
+                             want)
+        assert np.isnan(scratch).all() != live
+        for a, b in zip((*args, q), before):
+            assert_same_bits(a, b)
+
+
 def live_market():
     """A small generated market with w raised on some pairs: about a
     fifth sit exactly at alpha base == w, and about a quarter saturate at

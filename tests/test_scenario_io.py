@@ -464,7 +464,16 @@ class TestCompanion:
         header = json.loads(records[0].tobytes())
         assert header["sha256"] == hashlib.sha256(
             scenario_path.read_bytes()).hexdigest()
-        assert [r.dtype for r in records[1:]] == [np.float64] * len(_TABLES)
+        tables, text = records[1:-1], records[-1]
+        assert [r.dtype for r in tables] == [np.float64] * len(_TABLES)
+        # the last record is the JSON text of initial_demand, as the
+        # scenario file spells it
+        assert text.dtype == np.uint8
+        assert header["initial_demand_json"] == text.size
+        doc = scenario_path.read_text()
+        spelled = text.tobytes().decode()
+        assert f'"initial_demand": {spelled}, ' in doc
+        assert json.loads(spelled) == tables[-1].tolist()
 
     def test_warm_load_bit_equal_to_cold_load(self, scenario_path):
         with _parsed_loads() as spy:
@@ -744,3 +753,105 @@ class TestResultBundle:
         p2 = save_result(tmp_path / "o2", res, s)
         for key in p1:
             assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
+
+
+class TestDemandText:
+    """``save_result`` copies ``chi_before`` from the text of the initial
+    demand in the scenario's companion when the companion was written
+    for the bytes the scenario was loaded from, and spells the whole of
+    demands.csv by ``repr`` otherwise: the bytes are the same."""
+
+    PARAMS = GenerationParams(num_te=7, num_es=3, num_slots=4, seed=2,
+                              solver=SolverConfig(max_iterations=5))
+
+    @pytest.fixture
+    def loaded(self, tmp_path):
+        from mec_bazaar.bidding_games import run_dtoa
+        path = tmp_path / "s.json"
+        save_scenario(path, generate_scenario(self.PARAMS), self.PARAMS)
+        scenario, digest = load_scenario(path, with_digest=True)
+        result = run_dtoa(scenario)
+        save_result(tmp_path / "want", result, scenario)
+        want = (tmp_path / "want" / "demands.csv").read_bytes()
+        return path, digest, scenario, result, want
+
+    def demands(self, tmp_path, loaded, tag) -> bytes:
+        path, digest, scenario, result, _ = loaded
+        save_result(tmp_path / tag, result, scenario, source=(path, digest))
+        return (tmp_path / tag / "demands.csv").read_bytes()
+
+    def test_copied_from_the_companion(self, tmp_path, loaded):
+        want = loaded[-1]
+        assert self.demands(tmp_path, loaded, "warm") == want
+        # the text is copied: the values in memory are not spelled
+        loaded[2].initial_demand = loaded[2].initial_demand + 1.0
+        assert self.demands(tmp_path, loaded, "copied") == want
+
+    @pytest.mark.parametrize("text", [
+        "[[1.0, 2.0, 3.0, 4.0]]",                      # too few rows
+        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 8) + "]",  # too many
+        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 6
+                        + ["[1.0, 2.0, 3.0, 4.0, 5.0]"]) + "]",
+        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 6
+                        + ["[1.0, 2.0, 3.0]"]) + "]",
+        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0, 5.0]", "[1.0, 2.0, 3.0]"]
+                        + ["[1.0, 2.0, 3.0, 4.0]"] * 5) + "]",
+        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 7) + "",  # not closed
+        " " + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 7) + "]",  # not opened
+        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.é]"] * 7) + "]",
+    ])
+    def test_other_text_spelled_afresh(self, tmp_path, loaded, text):
+        """A whole companion for the loaded bytes whose text is not a
+        table of T numbers a row for each customer."""
+        path, want = loaded[0], loaded[-1]
+        records = _read_records(companion(path))
+        records[-1] = np.frombuffer(text.encode(), np.uint8)
+        header = json.loads(records[0].tobytes())
+        header["initial_demand_json"] = records[-1].size
+        records[0] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+        _write_records(companion(path), records)
+        assert self.demands(tmp_path, loaded, "other") == want
+
+    @pytest.mark.parametrize("damage", ["no companion", "cut short",
+                                        "other digest", "older"])
+    def test_spelled_afresh_without_the_text(self, tmp_path, loaded,
+                                             damage):
+        path, want = loaded[0], loaded[-1]
+        blob = open(companion(path), "rb").read()
+        records = _read_records(companion(path))
+        header = json.loads(records[0].tobytes())
+        if damage == "no companion":
+            os.remove(companion(path))
+        elif damage == "cut short":
+            with open(companion(path), "wb") as fh:
+                fh.write(blob[:-7])
+        else:
+            if damage == "older":
+                del header["initial_demand_json"]
+                records.pop()
+            else:
+                header["sha256"] = hashlib.sha256(b"other").hexdigest()
+            records[0] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+            _write_records(companion(path), records)
+        with mock.patch.object(scenario_io, "_text_rows") as spy:
+            assert self.demands(tmp_path, loaded, damage) == want
+        assert spy.call_count == 0
+
+    def test_peak_does_not_grow_with_n(self, tmp_path):
+        """The text is read a block at a time: from N=2,000 to N=8,000
+        (about 1 MB more text) the peak grows by less than one block."""
+        from mec_bazaar.bidding_games import run_dtoa
+        peak = {}
+        for n in (2000, 8000):
+            params = GenerationParams(num_te=n, seed=1,
+                                      solver=SolverConfig(max_iterations=3))
+            path = tmp_path / f"s{n}.json"
+            save_scenario(path, generate_scenario(params), params)
+            scenario, digest = load_scenario(path, with_digest=True)
+            result = run_dtoa(scenario)
+            with mock.patch.object(scenario_io, "_text_rows",
+                                   side_effect=scenario_io._text_rows) as spy:
+                peak[n] = traced_peak(save_result, tmp_path / str(n), result,
+                                      scenario, source=(path, digest))
+            assert spy.call_count == 1
+        assert peak[8000] - peak[2000] < scenario_io._TEXT_BLOCK
