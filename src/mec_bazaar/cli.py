@@ -175,9 +175,7 @@ def _gen_params_from_args(args) -> GenerationParams:
             gen_kwargs[key] = _number(key, value)
         else:
             raise DomainError(f"unknown generation parameter {key!r}")
-    params = GenerationParams(**gen_kwargs, solver=SolverConfig(**solver))
-    params.validate()
-    return params
+    return GenerationParams(**gen_kwargs, solver=SolverConfig(**solver))
 
 
 def cmd_gen(args) -> int:
@@ -343,18 +341,23 @@ def cmd_oracle(args) -> int:
         if (row_err > market_model.ROW_SUM_TOL or demand.min() < 0
                 or bids.min() < 0):
             report["passed"] = False
-        payoffs = market_model.compute_agent_economics(
-            demand, scenario.base_demand, bids, scenario.cost_coeffs,
-            scenario.utility_w, scenario.utility_alpha).te_payoff
-        _, gains = best_response(demand, scenario.base_demand, bids,
-                                 scenario.utility_w, scenario.utility_alpha)
-        relative = gains / np.maximum(np.abs(payoffs), 1e-300)
-        worst = float(relative.max())
-        report["best_response"] = {"worst_relative_gain": worst, "gains": [
-            {"te": i, "gain": g, "relative": r} for i, (g, r)
-            in enumerate(zip(gains.tolist(), relative.tolist()))]}
-        if worst > _GAP_TOL:
-            report["passed"] = False
+        # served demand below zero has no utility, so no payoff to
+        # certify; feasibility has failed already
+        if (demand + scenario.base_demand).min() >= 0:
+            payoffs = market_model.compute_agent_economics(
+                demand, scenario.base_demand, bids, scenario.cost_coeffs,
+                scenario.utility_w, scenario.utility_alpha).te_payoff
+            _, gains = best_response(demand, scenario.base_demand, bids,
+                                     scenario.utility_w,
+                                     scenario.utility_alpha)
+            relative = gains / np.maximum(np.abs(payoffs), 1e-300)
+            worst = float(relative.max())
+            report["best_response"] = {
+                "worst_relative_gain": worst, "gains": [
+                    {"te": i, "gain": g, "relative": r} for i, (g, r)
+                    in enumerate(zip(gains.tolist(), relative.tolist()))]}
+            if worst > _GAP_TOL:
+                report["passed"] = False
 
     out_path = args.output or "oracle_report.json"
     try:

@@ -12,8 +12,10 @@ because the benchmark's traced pass counts its calls.
 
 ``check_gradients`` evaluates the solver's own direction kernels
 (``_kernels.te_gradient`` and ``_kernels.es_direction``) against
-independent central finite differences of the payoff functions in
-``market_model``, so it tests the code the solver runs.
+central finite differences of the check's own closures for a
+customer's slot payoff and a supplier's slot profit, written out apart
+from both the kernels and ``market_model.compute_agent_economics``, so
+it tests the code the solver runs.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
 )
 from . import _kernels
 from .bidding_games import project_simplex
-from .market_model import Scenario, es_profit, te_utility
+from .market_model import Scenario, te_utility
 
 __all__ = [
     "SupplierEquilibrium",
@@ -300,17 +302,24 @@ def check_gradients(scenario: Scenario, n_samples: int = 100,
     per state. Checks ``_kernels.te_gradient`` against the finite
     difference of the customer's slot payoff, and the supplier profit
     derivative implied by ``_kernels.es_direction`` against the finite
-    difference of ``es_profit``, together with the direction's sign, on
-    the stable region share < load/2 (states beyond it are counted
-    separately). Both kernels are called on the sampled slot only.
+    difference of the supplier's slot profit, revenue share minus
+    quadratic cost, together with the direction's sign, on the stable
+    region share < load/2 (states beyond it are counted separately).
+    Both kernels are called on the sampled slot only. Sampled bids are
+    scaled from ``solver.lambda_init``, so a zero start is refused as a
+    degenerate market.
     """
     if n_samples < 1:
         raise DomainError("need at least one sample")
+    if not scenario.solver.lambda_init > 0:
+        raise DegenerateMarketError(
+            "all bids are zero: solver.lambda_init must be positive for "
+            "the gradient check")
     rng = np.random.default_rng(seed)
     n, m, t_count = scenario.num_te, scenario.num_es, scenario.num_slots
     base = scenario.base_demand
     w, alpha = scenario.utility_w, scenario.utility_alpha
-    a2, a1 = scenario.cost_coeffs[:, 0], scenario.cost_coeffs[:, 1]
+    a2, a1, a0 = scenario.cost_coeffs.T
     max_te = 0.0
     max_es = 0.0
     agree = 0
@@ -344,7 +353,6 @@ def check_gradients(scenario: Scenario, n_samples: int = 100,
         max_te = max(max_te, _rel_err(analytic, fd))
 
         # supplier profit derivative vs finite difference
-        coeffs = scenario.cost_coeffs[j]
         f_j = lam_col[j] * load / total
         surrogate = float(_kernels.es_direction(
             lam[:, t:t + 1], load, a2, a1)[j, 0])
@@ -353,7 +361,10 @@ def check_gradients(scenario: Scenario, n_samples: int = 100,
         def profit_at(v: float) -> float:
             col = lam_col.copy()
             col[j] = v
-            return es_profit(col, j, load, coeffs)
+            total_v = col.sum()
+            f = col[j] * load / total_v
+            return float(col[j] * load * load / (total_v * total_v)
+                         - (a2[j] * f * f + a1[j] * f + a0[j]))
 
         fd_p = (profit_at(lam_col[j] + hl)
                 - profit_at(lam_col[j] - hl)) / (2 * hl)

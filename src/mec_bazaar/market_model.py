@@ -1,10 +1,12 @@
 """Domain types and pure economic functions of the resource market.
 
-Everything in this module is a pure function of its arguments: supplier
-cost/profit, customer utility/payout/payoff, and the market state (load,
-clearing price load / SUM(bids), proportional supply split) derived
-from the strategy matrices. Derived per-slot quantities are never stored
-on the scenario; they are always recomputed.
+Everything in this module is a pure function of its arguments: the
+customer's task utility, the market state (load, clearing price
+load / SUM(bids), proportional supply split) derived from the strategy
+matrices, and every agent's economics at that state (supplier revenue
+and profit, customer payout and payoff), all in
+``compute_agent_economics``. Derived per-slot quantities are never
+stored on the scenario; they are always recomputed.
 
 Conventions: demand and supply are measured in task-units, prices in
 price-units per task-unit. Suppliers are indexed j = 0..M-1, customers
@@ -26,11 +28,7 @@ __all__ = [
     "Scenario",
     "MarketState",
     "AgentEconomics",
-    "es_cost",
-    "es_profit",
     "te_utility",
-    "te_payout",
-    "te_payoff",
     "compute_market_state",
     "compute_agent_economics",
 ]
@@ -229,29 +227,6 @@ class AgentEconomics:
 # Pure operations
 # --------------------------------------------------------------------------
 
-def es_cost(coeffs, f):
-    """Quadratic serving cost a2*f^2 + a1*f + a0."""
-    a2, a1, a0 = coeffs
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0):
-        raise DomainError("supplied load must be nonnegative")
-    out = a2 * f * f + a1 * f + a0
-    return float(out) if out.ndim == 0 else out
-
-
-def es_profit(lambda_col: np.ndarray, j: int, load: float, coeffs) -> float:
-    """Supplier j's profit: revenue share minus quadratic cost.
-
-    Equals lambda_j * load^2 / (SUM lambda)^2 - C_j(share).
-    """
-    lam = np.asarray(lambda_col, dtype=float)
-    total = lam.sum()
-    if total <= 0.0:
-        raise DegenerateMarketError("all bids are zero: profit undefined")
-    f_j = lam[j] * load / total
-    return float(lam[j] * load * load / (total * total) - es_cost(coeffs, f_j))
-
-
 def te_utility(w, alpha, x):
     """Saturating quadratic task utility.
 
@@ -267,29 +242,6 @@ def te_utility(w, alpha, x):
     out = np.where(x <= cap, w * x - 0.5 * alpha * x * x,
                    w * w / (2.0 * alpha))
     return float(out) if out.ndim == 0 else out
-
-
-def te_payout(chi_it, r_it, price):
-    """Slot payout (chi + r) * price."""
-    chi_it = np.asarray(chi_it, dtype=float)
-    r_it = np.asarray(r_it, dtype=float)
-    price = np.asarray(price, dtype=float)
-    if np.any(chi_it < 0) or np.any(r_it < 0) or np.any(price < 0):
-        raise DomainError("payout inputs must be nonnegative")
-    out = (chi_it + r_it) * price
-    return float(out) if out.ndim == 0 else out
-
-
-def te_payoff(chi_row, r_row, prices, w_row, alpha_row) -> float:
-    """Daily payoff: SUM_t [utility(chi+r) - (chi+r) * price]."""
-    chi_row = np.asarray(chi_row, dtype=float)
-    r_row = np.asarray(r_row, dtype=float)
-    prices = np.asarray(prices, dtype=float)
-    if not (chi_row.shape == r_row.shape == prices.shape):
-        raise DimensionError("row inputs must share one length-T shape")
-    x = chi_row + r_row
-    util = te_utility(w_row, alpha_row, x)
-    return float(np.sum(util - te_payout(chi_row, r_row, prices)))
 
 
 def compute_market_state(chi: np.ndarray, base: np.ndarray,

@@ -18,7 +18,7 @@ from mec_bazaar.bidding_games import (
     supplier_fixed_point,
 )
 from mec_bazaar.errors import DegenerateMarketError, DomainError
-from mec_bazaar.market_model import SolverConfig, es_profit
+from mec_bazaar.market_model import SolverConfig, compute_agent_economics
 from mec_bazaar.scenario_io import (
     GenerationParams,
     generate_scenario,
@@ -52,6 +52,15 @@ def surrogate(lam, j, load, coeffs):
     m = lam.size
     return es_direction(lam[:, None], np.array([load]), np.full(m, coeffs[0]),
                         np.full(m, coeffs[1]))[j, 0]
+
+
+def one_slot_profit(lam, j, load, coeffs):
+    """Supplier j's profit on one slot whose whole load is one customer's
+    demand, every supplier with the cost triple ``coeffs``."""
+    ones = np.ones((1, 1))
+    return compute_agent_economics(
+        np.array([[load]]), np.zeros((1, 1)), lam[:, None],
+        np.tile(coeffs, (lam.size, 1)), ones, ones).es_profit[j, 0]
 
 
 def slot_gradient(chi, base, i, t, lam, w, alpha):
@@ -93,8 +102,8 @@ class TestEsSurrogateGradient:
             up[j] += h
             dn = lam.copy()
             dn[j] -= h
-            fd = (es_profit(up, j, load, coeffs)
-                  - es_profit(dn, j, load, coeffs)) / (2 * h)
+            fd = (one_slot_profit(up, j, load, coeffs)
+                  - one_slot_profit(dn, j, load, coeffs)) / (2 * h)
             if abs(fd) < 1e-10 and abs(surr) < 1e-8:
                 continue
             assert np.sign(surr) == np.sign(fd)

@@ -15,7 +15,12 @@ import pytest
 
 from conftest import child_env, cli
 from mec_bazaar.cli import build_parser
-from mec_bazaar.scenario_io import GenerationParams, generate_scenario, save_scenario
+from mec_bazaar.scenario_io import (
+    GenerationParams,
+    generate_scenario,
+    load_scenario,
+    save_scenario,
+)
 from mec_bazaar.market_model import SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -796,12 +801,13 @@ class TestOracle:
 
     @pytest.mark.parametrize("edit, code", [
         ("none", 0), ("zero all", 6), ("halve te 0", 6), ("negative", 6),
-        ("negative bid", 6), ("swap bids", 6)])
+        ("below base", 6), ("negative bid", 6), ("swap bids", 6)])
     def test_infeasible_demand_flagged(self, certified_market, tmp_path,
                                        edit, code):
         # the certified bundle passes; one whose rows miss shiftable_total,
-        # or that moves demand below zero keeping its rows, must not; nor
-        # one that moves bid between suppliers keeping each slot's price
+        # or that moves demand below zero keeping its rows, or served
+        # demand below zero keeping each slot's load, must not; nor one
+        # that moves bid between suppliers keeping each slot's price
         scn, run_dir = certified_market
         bundle = tmp_path / "bundle"
         bundle.mkdir()
@@ -818,6 +824,11 @@ class TestOracle:
             elif name == "demands.csv" and edit == "negative":
                 value[te0[1]] += value[te0[0]] + 1.0
                 value[te0[0]] = -1.0
+            elif name == "demands.csv" and edit == "below base":
+                # customer 1 takes what customer 0 gives up at slot 0
+                target = -(load_scenario(scn).base_demand[0, 0] + 1000.0)
+                value[slot0[1]] += value[slot0[0]] - target
+                value[slot0[0]] = target
             elif name == "bids.csv" and edit == "negative bid":
                 # supplier 0's bid at slot 0 negated, supplier 1's raised
                 # by twice as much: the slot's bid total stays
@@ -842,6 +853,10 @@ class TestOracle:
         if edit in ("negative bid", "swap bids"):
             assert doc["slots"]["0"]["price_gap"] < 1e-3
             assert doc["best_response"]["worst_relative_gain"] < 1e-3
+        if edit == "below base":
+            # negative served demand has no utility, so no payoff to certify
+            assert "best_response" not in doc
+            assert out.stderr == ""
 
     def test_zero_bid_slot_is_degenerate(self, tmp_path):
         # a bundle whose bids sum to zero at a slot has no price there
@@ -860,6 +875,18 @@ class TestOracle:
                   str(run_dir), "-o", str(report_path))
         assert out.returncode == 4
         assert "all bids are zero at slot 0" in error_line(out)
+        assert not report_path.exists()
+
+    def test_zero_starting_bids_are_degenerate(self, tmp_path):
+        # the gradient check scales its sampled bids from lambda_init
+        scn = tmp_path / "s.json"
+        assert cli("gen", "--seed", "1", "--tes", "20", "--ess", "3",
+                   "--slots", "4", "--param", "solver.lambda_init=0",
+                   "-o", str(scn)).returncode == 0
+        report_path = tmp_path / "r.json"
+        out = cli("oracle", "--scenario", str(scn), "-o", str(report_path))
+        assert out.returncode == 4
+        assert "solver.lambda_init must be positive" in error_line(out)
         assert not report_path.exists()
 
     @pytest.mark.parametrize("seed, slot", [("-1", None), ("-5", "4")])

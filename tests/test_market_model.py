@@ -1,6 +1,8 @@
 """Unit tests for the pure economic functions and domain types."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +12,11 @@ from mec_bazaar.errors import (
     DimensionError,
     DomainError,
 )
+from mec_bazaar import market_model
 from mec_bazaar.market_model import (
     SolverConfig,
     compute_agent_economics,
     compute_market_state,
-    es_cost,
-    es_profit,
-    te_payoff,
-    te_payout,
     te_utility,
 )
 from mec_bazaar.scenario_io import GenerationParams, generate_scenario
@@ -27,6 +26,23 @@ def one_slot_state(lam, load):
     """Market state of a single slot whose whole ``load`` is one customer's."""
     return compute_market_state(np.array([[load]]), np.zeros((1, 1)),
                                 np.asarray(lam, dtype=float)[:, None])
+
+
+def supplier_economics(lam, loads, coeffs):
+    """Economics of a market whose whole load in each slot is one
+    customer's demand: ``lam`` holds the (M, T) bids, every supplier has
+    the cost triple ``coeffs``."""
+    lam = np.atleast_2d(np.asarray(lam, dtype=float))
+    chi = np.atleast_2d(np.asarray(loads, dtype=float))
+    ones = np.ones_like(chi)
+    return compute_agent_economics(chi, np.zeros_like(chi), lam,
+                                   np.tile(coeffs, (lam.shape[0], 1)),
+                                   ones, ones)
+
+
+def serving_cost(econ):
+    """Each supplier's cost per slot, recovered as revenue minus profit."""
+    return econ.es_revenue - econ.es_profit
 
 
 class TestAggregateLoad:
@@ -100,47 +116,55 @@ class TestSupplyShare:
 
 class TestEsCost:
     def test_hand_values(self):
-        assert es_cost((0.01, 0.001, 0.001), 10.0) == pytest.approx(1.011)
+        # a lone supplier serves the whole load of 10
+        econ = supplier_economics([[1.0]], [10.0], (0.01, 0.001, 0.001))
+        assert serving_cost(econ)[0, 0] == pytest.approx(1.011)
 
     def test_constant_term(self):
-        assert es_cost((0.3, 0.2, 0.7), 0.0) == 0.7
-
-    def test_negative_load_rejected(self):
-        with pytest.raises(DomainError):
-            es_cost((0.1, 0.1, 0.1), -1.0)
+        # a0 shifts the profit by exactly itself, whatever the supply
+        lam = [[2.0], [3.0]]
+        with_a0 = supplier_economics(lam, [6.0], (0.3, 0.2, 0.7)).es_profit
+        without = supplier_economics(lam, [6.0], (0.3, 0.2, 0.0)).es_profit
+        np.testing.assert_allclose(without - with_a0, 0.7, rtol=1e-12)
 
     def test_midpoint_convexity(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             coeffs = (rng.uniform(1e-6, 1.0), rng.uniform(0, 1), rng.uniform(0, 1))
             f1, f2 = rng.uniform(0, 100, size=2)
-            mid = es_cost(coeffs, 0.5 * (f1 + f2))
-            assert mid <= 0.5 * (es_cost(coeffs, f1) + es_cost(coeffs, f2)) + 1e-12
+            # a lone supplier serves f1, f2 and their midpoint in three slots
+            cost = serving_cost(supplier_economics(
+                np.ones((1, 3)), [f1, f2, 0.5 * (f1 + f2)], coeffs))[0]
+            assert cost[2] <= 0.5 * (cost[0] + cost[1]) + 1e-9 * cost.max()
 
 
 class TestEsProfit:
     def test_hand_value(self):
-        lam = np.array([2.0, 3.0, 5.0])
-        assert es_profit(lam, 2, 20.0, (0.01, 0.001, 0.001)) == \
-            pytest.approx(18.989)
+        econ = supplier_economics([[2.0], [3.0], [5.0]], [20.0],
+                                  (0.01, 0.001, 0.001))
+        assert econ.es_profit[2, 0] == pytest.approx(18.989)
 
     def test_zero_bid_pays_fixed_cost(self):
-        lam = np.array([0.0, 3.0])
-        assert es_profit(lam, 0, 12.0, (0.5, 0.5, 0.25)) == pytest.approx(-0.25)
+        econ = supplier_economics([[0.0], [3.0]], [12.0], (0.5, 0.5, 0.25))
+        assert econ.es_revenue[0, 0] == 0.0
+        assert econ.es_profit[0, 0] == -0.25
 
     def test_two_path_agreement(self):
+        # the closed form lambda_j L^2 / Lambda^2 - C(lambda_j L / Lambda)
         rng = np.random.default_rng(4)
         for _ in range(50):
             m = rng.integers(2, 8)
             lam = rng.uniform(0.01, 10.0, size=m)
             load = rng.uniform(0.1, 50.0)
-            coeffs = (rng.uniform(1e-4, 0.1), rng.uniform(0, 0.1), rng.uniform(0, 0.1))
+            a2, a1, a0 = (rng.uniform(1e-4, 0.1), rng.uniform(0, 0.1),
+                          rng.uniform(0, 0.1))
             j = int(rng.integers(m))
-            direct = es_profit(lam, j, load, coeffs)
-            composed = compute_agent_economics(
-                np.array([[load]]), np.zeros((1, 1)), lam[:, None],
-                np.tile(coeffs, (m, 1)), np.ones((1, 1)),
-                np.ones((1, 1))).es_profit[j, 0]
+            total = lam.sum()
+            f = lam[j] * load / total
+            direct = (lam[j] * load * load / (total * total)
+                      - (a2 * f * f + a1 * f + a0))
+            composed = supplier_economics(lam[:, None], [load],
+                                          (a2, a1, a0)).es_profit[j, 0]
             assert direct == pytest.approx(composed, rel=1e-12, abs=1e-15)
 
 
@@ -180,38 +204,44 @@ class TestTeUtility:
 
 class TestTePayoutPayoff:
     def test_product(self):
-        assert te_payout(1.0, 1.0, 2.0) == 4.0
+        # served demand 1 + 1 at price 2 pays 4
+        econ = compute_agent_economics(
+            np.array([[1.0]]), np.array([[1.0]]), np.array([[0.5], [0.5]]),
+            np.full((2, 3), 0.1), np.ones((1, 1)), np.ones((1, 1)))
+        assert econ.te_payout[0, 0] == 4.0
 
     def test_zero_price_payoff_is_total_utility(self):
-        chi = np.array([1.0, 2.0, 0.5])
-        r = np.array([0.2, 0.1, 0.3])
-        w = np.full(3, 1.0)
-        alpha = np.full(3, 0.5)
-        payoff = te_payoff(chi, r, np.zeros(3), w, alpha)
-        expected = sum(te_utility(1.0, 0.5, x) for x in chi + r)
-        assert payoff == pytest.approx(expected)
+        chi = np.array([[1.0, 2.0, 0.5]])
+        r = np.array([[0.2, 0.1, 0.3]])
+        w = np.full((1, 3), 1.0)
+        alpha = np.full((1, 3), 0.5)
+        # bids so large that every price, and so the payout, vanishes
+        bids = np.full((2, 3), 1e300)
+        econ = compute_agent_economics(chi, r, bids, np.full((2, 3), 0.1),
+                                       w, alpha)
+        expected = sum(te_utility(1.0, 0.5, x) for x in (chi + r)[0])
+        assert econ.te_payoff[0] == pytest.approx(expected)
 
     def test_slot_by_slot_recomputation(self):
         rng = np.random.default_rng(12)
-        t = 6
-        chi = rng.uniform(0, 3, size=t)
-        r = rng.uniform(0, 3, size=t)
-        prices = rng.uniform(0, 2, size=t)
-        w = rng.uniform(0.5, 2, size=t)
-        alpha = rng.uniform(0.2, 1, size=t)
-        got = te_payoff(chi, r, prices, w, alpha)
-        expected = 0.0
-        for k in range(t):
-            x = chi[k] + r[k]
-            cap = w[k] / alpha[k]
-            util = (w[k] * x - alpha[k] / 2 * x * x if x <= cap
-                    else w[k] ** 2 / (2 * alpha[k]))
-            expected += util - x * prices[k]
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            te_payout(-1.0, 0.0, 1.0)
+        n, t = 3, 6
+        chi = rng.uniform(0, 3, size=(n, t))
+        r = rng.uniform(0, 3, size=(n, t))
+        bids = rng.uniform(0.5, 5, size=(2, t))
+        w = rng.uniform(0.5, 2, size=(n, t))
+        alpha = rng.uniform(0.2, 1, size=(n, t))
+        got = compute_agent_economics(chi, r, bids, np.full((2, 3), 0.1),
+                                      w, alpha).te_payoff
+        for i in range(n):
+            expected = 0.0
+            for k in range(t):
+                price = (chi[:, k] + r[:, k]).sum() / bids[:, k].sum()
+                x = chi[i, k] + r[i, k]
+                cap = w[i, k] / alpha[i, k]
+                util = (w[i, k] * x - alpha[i, k] / 2 * x * x if x <= cap
+                        else w[i, k] ** 2 / (2 * alpha[i, k]))
+                expected += util - x * price
+            assert got[i] == pytest.approx(expected, rel=1e-12)
 
 
 class TestInvariants:
@@ -298,3 +328,27 @@ class TestScenarioValidation:
     def test_solver_config_refuses_integer_too_large_for_float(self):
         with pytest.raises(DomainError, match="solver.epsilon"):
             SolverConfig(epsilon=10 ** 400).validate()
+
+
+def test_every_exported_function_is_used_by_the_package():
+    """Each function ``market_model`` exports is imported or referenced by
+    another module of the package: no second copy of an economic quantity
+    lives on for the tests alone."""
+    package = Path(market_model.__file__).parent
+    own = ast.parse((package / "market_model.py").read_text())
+    exported = {node.name for node in own.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name in market_model.__all__}
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name == "market_model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert exported, "market_model exports no function"
+    assert sorted(exported - used) == []

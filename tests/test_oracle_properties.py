@@ -16,7 +16,7 @@ from mec_bazaar.equilibrium_oracle import (
     best_response,
     psi,
 )
-from mec_bazaar.market_model import te_payoff
+from mec_bazaar.market_model import compute_agent_economics
 
 # Derandomized, so every run draws the same examples; no deadline, since
 # a shared host can stall any single example.
@@ -123,8 +123,12 @@ def gradient(i, row, chi, base, bids, w, alpha):
 
 
 def payoff(i, row, chi, base, bids, w, alpha):
-    prices = (others_load(i, chi, base) + row + base[i]) / bids.sum(axis=0)
-    return te_payoff(row, base[i], prices, w[i], alpha[i])
+    """Customer i's daily payoff with its row replaced by ``row``."""
+    profile = chi.copy()
+    profile[i] = row
+    costs = np.zeros((bids.shape[0], 3))
+    return compute_agent_economics(profile, base, bids, costs, w,
+                                   alpha).te_payoff[i]
 
 
 class TestBestResponseProperties:
