@@ -230,8 +230,7 @@ def cmd_run(args) -> int:
                     "iteration cap (%d)", baseline.iterations)
 
     try:
-        paths = save_result(args.out_dir, result, scenario,
-                            source=(args.scenario, digest))
+        paths = save_result(args.out_dir, result, scenario)
         report = build_report(scenario, baseline, result,
                               runtime_seconds=runtime)
         paths.update(emit(report, args.out_dir))
@@ -289,6 +288,12 @@ def cmd_oracle(args) -> int:
                     "slots": {}, "passed": True}
     try:
         for t in slots:
+            if loads[t] <= 0:
+                # a bundle's demand can leave a slot no load, and no
+                # supplier equilibrium to check against: the slot fails
+                report["slots"][str(t)] = {"load": float(loads[t])}
+                report["passed"] = False
+                continue
             eq = solve_supplier_equilibrium(float(loads[t]),
                                             scenario.cost_coeffs)
             probes = verify_supplier_equilibrium(

@@ -127,16 +127,15 @@ _FIGURES = (
 
 def emit(doc: dict, out_dir: str) -> dict:
     """Write a ``build_report`` document as report.json plus the
-    per-figure CSV tables, which share the spelling of its lists; return
-    the paths written."""
+    per-figure CSV tables drawn from its lists; return the paths
+    written."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {"report": os.path.join(out_dir, "report.json")}
-    tables = []
+    write_indented_json(paths["report"], doc)
     for name, header, stem in _FIGURES:
+        before, after = doc[stem + "_before"], doc[stem + "_after"]
         paths[name] = os.path.join(out_dir, name + ".csv")
-        tables.append((paths[name], header,
-                       (stem + "_before", stem + "_after")))
-    write_indented_json(paths["report"], doc, tables)
+        write_table(paths[name], header, [range(len(before)), before, after])
     paths["fig_par"] = os.path.join(out_dir, "fig_par.csv")
     write_table(paths["fig_par"], "num_te,par_before,par_after",
                 [[doc["num_te"]], [doc["par_before"]], [doc["par_after"]]])

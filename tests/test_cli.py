@@ -648,24 +648,19 @@ class TestCompanion:
 
     @staticmethod
     def altered(blob: bytes, case: str) -> bytes:
-        """The companion ``blob`` with its text record of the initial
-        demand dropped (as a companion written before it existed), cut
-        to its first two rows (a whole companion whose text is too
-        short), or with the header of another digest."""
+        """The companion ``blob`` in the layout of older saves, which
+        kept the JSON text of the initial demand in a last record, or
+        with the header of another digest."""
         fh = io.BytesIO(blob)
         records = []
         while fh.tell() < len(blob):
             records.append(np.lib.format.read_array(fh))
-        assert len(records) == 8
+        assert len(records) == 7
         header = json.loads(records[0].tobytes())
-        if case == "older":
-            del header["initial_demand_json"]
-            records.pop()
-        elif case == "cut short":
-            text = records[-1].tobytes()
-            end = text.index(b"], [", text.index(b"], [") + 1) + 1
-            records[-1] = np.frombuffer(text[:end] + b"]", np.uint8)
-            header["initial_demand_json"] = records[-1].size
+        if case == "text record":
+            text = json.dumps(records[-1].tolist()).encode()
+            records.append(np.frombuffer(text, np.uint8))
+            header["initial_demand_json"] = len(text)
         else:
             header["sha256"] = hashlib.sha256(b"other").hexdigest()
         records[0] = np.frombuffer(json.dumps(header).encode(), np.uint8)
@@ -687,8 +682,7 @@ class TestCompanion:
         assert warm == cold
         assert warm[3] == hashlib.sha256(path.read_bytes()).hexdigest()
         assert warm[0] == 0
-        # demands.csv is spelled afresh from each of these companions
-        for case in ("older", "cut short", "other digest"):
+        for case in ("text record", "other digest"):
             companion.write_bytes(self.altered(blob, case))
             assert self.outputs(path, tmp_path, case) == warm, case
 
@@ -801,13 +795,15 @@ class TestOracle:
 
     @pytest.mark.parametrize("edit, code", [
         ("none", 0), ("zero all", 6), ("halve te 0", 6), ("negative", 6),
-        ("below base", 6), ("negative bid", 6), ("swap bids", 6)])
+        ("below base", 6), ("no load", 6), ("negative bid", 6),
+        ("swap bids", 6)])
     def test_infeasible_demand_flagged(self, certified_market, tmp_path,
                                        edit, code):
         # the certified bundle passes; one whose rows miss shiftable_total,
         # or that moves demand below zero keeping its rows, or served
-        # demand below zero keeping each slot's load, must not; nor one
-        # that moves bid between suppliers keeping each slot's price
+        # demand below zero keeping each slot's load, or a slot's load
+        # below zero keeping the rows, must not; nor one that moves bid
+        # between suppliers keeping each slot's price
         scn, run_dir = certified_market
         bundle = tmp_path / "bundle"
         bundle.mkdir()
@@ -829,6 +825,12 @@ class TestOracle:
                 target = -(load_scenario(scn).base_demand[0, 0] + 1000.0)
                 value[slot0[1]] += value[slot0[0]] - target
                 value[slot0[0]] = target
+            elif name == "demands.csv" and edit == "no load":
+                # customer 0 moves to slot 1 all of slot 0's load and 1000
+                load = (value[slot0]
+                        + load_scenario(scn).base_demand[:, 0]).sum()
+                value[te0[0]] -= load + 1000.0
+                value[te0[1]] += load + 1000.0
             elif name == "bids.csv" and edit == "negative bid":
                 # supplier 0's bid at slot 0 negated, supplier 1's raised
                 # by twice as much: the slot's bid total stays
@@ -845,7 +847,8 @@ class TestOracle:
         assert out.returncode == code, out.stderr
         doc = json.loads(report_path.read_text())
         feasibility = doc["feasibility"]
-        bid_gap = max(e["bid_gap"] for e in doc["slots"].values())
+        # a slot without load has no supplier equilibrium, nor bid gap
+        bid_gap = max(e.get("bid_gap", np.inf) for e in doc["slots"].values())
         assert (feasibility["max_row_sum_error"] <= 1e-9
                 and feasibility["min_demand"] >= 0
                 and feasibility["min_bid"] >= 0
@@ -853,10 +856,12 @@ class TestOracle:
         if edit in ("negative bid", "swap bids"):
             assert doc["slots"]["0"]["price_gap"] < 1e-3
             assert doc["best_response"]["worst_relative_gain"] < 1e-3
-        if edit == "below base":
+        if edit in ("below base", "no load"):
             # negative served demand has no utility, so no payoff to certify
             assert "best_response" not in doc
             assert out.stderr == ""
+        if edit == "no load":
+            assert doc["slots"]["0"] == {"load": pytest.approx(-1000.0)}
 
     def test_zero_bid_slot_is_degenerate(self, tmp_path):
         # a bundle whose bids sum to zero at a slot has no price there

@@ -464,16 +464,28 @@ class TestCompanion:
         header = json.loads(records[0].tobytes())
         assert header["sha256"] == hashlib.sha256(
             scenario_path.read_bytes()).hexdigest()
-        tables, text = records[1:-1], records[-1]
+        # the six tables, and nothing after them
+        tables = records[1:]
         assert [r.dtype for r in tables] == [np.float64] * len(_TABLES)
-        # the last record is the JSON text of initial_demand, as the
-        # scenario file spells it
-        assert text.dtype == np.uint8
-        assert header["initial_demand_json"] == text.size
-        doc = scenario_path.read_text()
-        spelled = text.tobytes().decode()
-        assert f'"initial_demand": {spelled}, ' in doc
-        assert json.loads(spelled) == tables[-1].tolist()
+        assert set(header) == {"sha256", "fields"}
+        doc = json.loads(scenario_path.read_text())
+        for name, table in zip(_TABLES, tables):
+            assert table.tolist() == doc[name]
+
+    def test_trailing_record_is_not_read(self, scenario_path):
+        """A companion that keeps the JSON text of initial_demand in a
+        last record, as older saves wrote it, loads without the JSON."""
+        records = _read_records(companion(scenario_path))
+        header = json.loads(records[0].tobytes())
+        text = json.dumps(records[-1].tolist()).encode()
+        header["initial_demand_json"] = len(text)
+        records[0] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+        _write_records(companion(scenario_path),
+                       [*records, np.frombuffer(text, np.uint8)])
+        with _parsed_loads() as spy:
+            warm = load_scenario(scenario_path)
+        assert spy.call_count == 0
+        _assert_same_scenario(warm, generate_scenario(self.PARAMS))
 
     def test_warm_load_bit_equal_to_cold_load(self, scenario_path):
         with _parsed_loads() as spy:
@@ -756,10 +768,11 @@ class TestResultBundle:
 
 
 class TestDemandText:
-    """``save_result`` copies ``chi_before`` from the text of the initial
-    demand in the scenario's companion when the companion was written
-    for the bytes the scenario was loaded from, and spells the whole of
-    demands.csv by ``repr`` otherwise: the bytes are the same."""
+    """``save_result`` spells ``chi_before`` of demands.csv from the
+    scenario's initial demand, whatever the scenario's companion holds:
+    a scenario loaded through a companion that is missing, damaged, or
+    in the older layout with a trailing text record of the initial
+    demand writes the bytes of one loaded from the JSON."""
 
     PARAMS = GenerationParams(num_te=7, num_es=3, num_slots=4, seed=2,
                               solver=SolverConfig(max_iterations=5))
@@ -769,23 +782,28 @@ class TestDemandText:
         from mec_bazaar.bidding_games import run_dtoa
         path = tmp_path / "s.json"
         save_scenario(path, generate_scenario(self.PARAMS), self.PARAMS)
-        scenario, digest = load_scenario(path, with_digest=True)
+        shutil.copy(path, tmp_path / "cold.json")
+        scenario = load_scenario(tmp_path / "cold.json")
         result = run_dtoa(scenario)
         save_result(tmp_path / "want", result, scenario)
         want = (tmp_path / "want" / "demands.csv").read_bytes()
-        return path, digest, scenario, result, want
+        return path, result, want
 
     def demands(self, tmp_path, loaded, tag) -> bytes:
-        path, digest, scenario, result, _ = loaded
-        save_result(tmp_path / tag, result, scenario, source=(path, digest))
+        path, result, _ = loaded
+        save_result(tmp_path / tag, result, load_scenario(path))
         return (tmp_path / tag / "demands.csv").read_bytes()
 
-    def test_copied_from_the_companion(self, tmp_path, loaded):
-        want = loaded[-1]
-        assert self.demands(tmp_path, loaded, "warm") == want
-        # the text is copied: the values in memory are not spelled
-        loaded[2].initial_demand = loaded[2].initial_demand + 1.0
-        assert self.demands(tmp_path, loaded, "copied") == want
+    @staticmethod
+    def with_text(path, text: bytes) -> None:
+        """Rewrite the companion of ``path`` in the older layout: the
+        header names the size of a last record holding ``text``."""
+        records = _read_records(companion(path))
+        header = json.loads(records[0].tobytes())
+        header["initial_demand_json"] = len(text)
+        records[0] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+        _write_records(companion(path),
+                       [*records, np.frombuffer(text, np.uint8)])
 
     @pytest.mark.parametrize("text", [
         "[[1.0, 2.0, 3.0, 4.0]]",                      # too few rows
@@ -801,45 +819,44 @@ class TestDemandText:
         "[" + ", ".join(["[1.0, 2.0, 3.0, 4.é]"] * 7) + "]",
     ])
     def test_other_text_spelled_afresh(self, tmp_path, loaded, text):
-        """A whole companion for the loaded bytes whose text is not a
-        table of T numbers a row for each customer."""
-        path, want = loaded[0], loaded[-1]
-        records = _read_records(companion(path))
-        records[-1] = np.frombuffer(text.encode(), np.uint8)
-        header = json.loads(records[0].tobytes())
-        header["initial_demand_json"] = records[-1].size
-        records[0] = np.frombuffer(json.dumps(header).encode(), np.uint8)
-        _write_records(companion(path), records)
-        assert self.demands(tmp_path, loaded, "other") == want
+        """A whole companion in the older layout whose text is not the
+        initial demand: the scenario loads from the companion's tables
+        and the text is not read."""
+        path, _, want = loaded
+        self.with_text(path, text.encode())
+        with _parsed_loads() as spy:
+            assert self.demands(tmp_path, loaded, "other") == want
+        assert spy.call_count == 0
 
     @pytest.mark.parametrize("damage", ["no companion", "cut short",
                                         "other digest", "older"])
     def test_spelled_afresh_without_the_text(self, tmp_path, loaded,
                                              damage):
-        path, want = loaded[0], loaded[-1]
+        path, _, want = loaded
         blob = open(companion(path), "rb").read()
-        records = _read_records(companion(path))
-        header = json.loads(records[0].tobytes())
         if damage == "no companion":
             os.remove(companion(path))
         elif damage == "cut short":
             with open(companion(path), "wb") as fh:
                 fh.write(blob[:-7])
+        elif damage == "older":
+            text = json.dumps(json.loads(path.read_text())["initial_demand"])
+            self.with_text(path, text.encode())
         else:
-            if damage == "older":
-                del header["initial_demand_json"]
-                records.pop()
-            else:
-                header["sha256"] = hashlib.sha256(b"other").hexdigest()
+            records = _read_records(companion(path))
+            header = json.loads(records[0].tobytes())
+            header["sha256"] = hashlib.sha256(b"other").hexdigest()
             records[0] = np.frombuffer(json.dumps(header).encode(), np.uint8)
             _write_records(companion(path), records)
-        with mock.patch.object(scenario_io, "_text_rows") as spy:
+        with _parsed_loads() as spy:
             assert self.demands(tmp_path, loaded, damage) == want
-        assert spy.call_count == 0
+        # only a whole companion for these bytes spares the JSON parse
+        assert spy.call_count == (0 if damage == "older" else 1)
 
     def test_peak_does_not_grow_with_n(self, tmp_path):
-        """The text is read a block at a time: from N=2,000 to N=8,000
-        (about 1 MB more text) the peak grows by less than one block."""
+        """demands.csv is spelled a block at a time: from N=2,000 to
+        N=8,000 (about 1 MB more text) the peak of saving the bundle of
+        a scenario loaded from its companion grows by less than 64 KiB."""
         from mec_bazaar.bidding_games import run_dtoa
         peak = {}
         for n in (2000, 8000):
@@ -847,11 +864,10 @@ class TestDemandText:
                                       solver=SolverConfig(max_iterations=3))
             path = tmp_path / f"s{n}.json"
             save_scenario(path, generate_scenario(params), params)
-            scenario, digest = load_scenario(path, with_digest=True)
+            with _parsed_loads() as spy:
+                scenario = load_scenario(path)
+            assert spy.call_count == 0
             result = run_dtoa(scenario)
-            with mock.patch.object(scenario_io, "_text_rows",
-                                   side_effect=scenario_io._text_rows) as spy:
-                peak[n] = traced_peak(save_result, tmp_path / str(n), result,
-                                      scenario, source=(path, digest))
-            assert spy.call_count == 1
-        assert peak[8000] - peak[2000] < scenario_io._TEXT_BLOCK
+            peak[n] = traced_peak(save_result, tmp_path / str(n), result,
+                                  scenario)
+        assert peak[8000] - peak[2000] < 1 << 16

@@ -22,7 +22,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import cli, traced_peak
 
 from mec_bazaar import _writers
-from mec_bazaar._writers import write_indented_json, write_json, write_table
+from mec_bazaar._writers import (
+    write_grid,
+    write_indented_json,
+    write_json,
+    write_table,
+)
 from mec_bazaar.bidding_games import run_dtoa
 from mec_bazaar.market_model import SolverConfig
 from mec_bazaar.metrics_report import build_report, compute_baseline, emit
@@ -251,15 +256,18 @@ class TestBlockWriters:
 
     @pytest.mark.parametrize("size", [0, 1, _BLOCK, _BLOCK + 1])
     def test_json_with_tables(self, tmp_path, size):
-        # one table's keys out of order and apart in the document, and a
-        # second table whose keys follow one another
+        # a document and tables drawn from its lists, each written on its
+        # own as emit writes them: one table's keys out of order and apart
+        # in the document, and a second table whose keys follow one another
         rng = np.random.default_rng(size)
         a, b, c, d = (_floats(rng, size) for _ in range(4))
         doc = {"b": b.tolist(), "x": 1, "a": a, "c": c.tolist(),
                "d": d.tolist()}
-        tables = [(tmp_path / "got1.csv", "id,a,b", ("a", "b")),
-                  (tmp_path / "got2.csv", "id,c,d", ("c", "d"))]
-        write_indented_json(tmp_path / "got.json", doc, tables)
+        write_indented_json(tmp_path / "got.json", doc)
+        write_table(tmp_path / "got1.csv", "id,a,b",
+                    [range(size), doc["a"], doc["b"]])
+        write_table(tmp_path / "got2.csv", "id,c,d",
+                    [range(size), doc["c"], doc["d"]])
         _reference_json(tmp_path / "want.json", {**doc, "a": a.tolist()})
         _reference_csv(tmp_path / "want1.csv", ["id", "a", "b"],
                        zip(range(size), a.tolist(), b.tolist()))
@@ -295,6 +303,105 @@ class TestBlockWriters:
         assert len(files) == 10
         for name, data in files.items():
             assert b"\r" not in data, name
+
+
+# values at each edge of [1e-4, 1e16), the magnitudes where orjson spells
+# a float as repr does, and whether a table of them is spelled by orjson
+_ORJSON_EDGES = [
+    ("below 1e-4", np.nextafter(1e-4, 0), False), ("1e-4", 1e-4, True),
+    ("below 1e16", np.nextafter(1e16, 0), True), ("1e16", 1e16, False),
+    ("5e-324", 5e-324, False), ("0.0", 0.0, True), ("-0.0", -0.0, True),
+    ("nan", np.nan, False), ("inf", np.inf, False),
+    ("-inf", -np.inf, False), ("2**53 + 2", 2.0**53 + 2, True)]
+
+
+def _edge_table(value, rows=_GRID_ROWS + 3, slots=24) -> np.ndarray:
+    """A table of ``value`` and its negation, in a checkerboard."""
+    table = np.full((rows, slots), value)
+    table[(np.add.outer(np.arange(rows), np.arange(slots)) % 2) == 1] *= -1
+    return table
+
+
+def _mixed_table() -> np.ndarray:
+    """A table whose first block holds one value below 1e-4 among values
+    in range, and whose later blocks hold only values in range."""
+    rng = np.random.default_rng(8)
+    shape = (_GRID_ROWS + 3, 24)
+    table = rng.uniform(1.0, 1e6, shape) * rng.choice([-1.0, 1.0], shape)
+    table[0, 5] = 4.76e-5
+    return table
+
+
+class TestSpellingEdges:
+    """Every writer writes the bytes of the ``repr`` reference on each side
+    of the range that orjson spells, on a constant 0.5 table and on a
+    table that mixes blocks in and out of that range; orjson spells just
+    the blocks inside it."""
+
+    CASES = [pytest.param(_edge_table(v), {expect}, id=name)
+             for name, v, expect in _ORJSON_EDGES] + [
+        pytest.param(np.full((7, 24), 0.5), {True}, id="0.5 table"),
+        pytest.param(_mixed_table(), {False, True}, id="mixed")]
+
+    @staticmethod
+    def _writes(write, expect):
+        """Call ``write()``; its blocks of floats must be spelled by
+        orjson (True) or by repr (False) as the set ``expect`` says."""
+        seen = set()
+        spelled = _writers._spelled
+
+        def spy(block):
+            text = spelled(block)
+            if not isinstance(block, range):
+                seen.add(text is not None)
+            return text
+
+        with mock.patch.object(_writers, "_spelled", spy):
+            write()
+        assert seen == expect
+
+    @pytest.mark.parametrize("table, expect", CASES)
+    def test_json(self, table, expect):
+        doc = {"table": table, "column": table[:, 0].copy(),
+               "list": table[:, 1].tolist()}
+        got = io.StringIO()
+        self._writes(lambda: write_json(got, doc), expect)
+        assert got.getvalue() == json.dumps(
+            {k: v.tolist() if isinstance(v, np.ndarray) else v
+             for k, v in doc.items()})
+
+    @pytest.mark.parametrize("table, expect", CASES)
+    def test_indented_json(self, tmp_path, table, expect):
+        values = table.ravel()
+        doc = {"array": values, "list": values.tolist()}
+        self._writes(lambda: write_indented_json(tmp_path / "got", doc),
+                     expect)
+        _reference_json(tmp_path / "want", {**doc, "array": doc["list"]})
+        assert (tmp_path / "got").read_bytes() == \
+            (tmp_path / "want").read_bytes()
+
+    @pytest.mark.parametrize("table, expect", CASES)
+    def test_table(self, tmp_path, table, expect):
+        values = table.ravel()
+        columns = [range(values.size), values, values[::-1].tolist()]
+        self._writes(lambda: write_table(tmp_path / "got", "id,a,b",
+                                         columns), expect)
+        _reference_csv(tmp_path / "want", ["id", "a", "b"], zip(
+            columns[0], values.tolist(), columns[2]))
+        assert (tmp_path / "got").read_bytes() == \
+            (tmp_path / "want").read_bytes()
+
+    @pytest.mark.parametrize("table, expect", CASES)
+    def test_grid(self, tmp_path, table, expect):
+        per_row = table[:, 3].copy()
+        self._writes(lambda: write_grid(tmp_path / "got", "id,slot,a,b",
+                                        [table], per_row=[per_row]), expect)
+        rows, slots = table.shape
+        _reference_csv(tmp_path / "want", ["id", "slot", "a", "b"], (
+            (i, t, float(table[i, t]), float(per_row[i]))
+            for i in range(rows) for t in range(slots)))
+        assert (tmp_path / "got").read_bytes() == \
+            (tmp_path / "want").read_bytes()
 
 
 class TestCompactJson:
