@@ -20,11 +20,7 @@ in a workspace it allocates once (see ``bidding_games.run_dtoa``).
 is built there, stepped and projected in place, as the projection may
 write over its input. A buffer not given is allocated and the same
 in-place sequence of ufuncs runs on it, so a call gives the same bits
-with or without a workspace. On a wide market the gradient and the
-step run a few slots (rows) at a time, so that the rows of the arrays
-they stream stay in cache from one ufunc to the next; as every one of
-those ufuncs is elementwise within a slot, the blocks do not move a
-bit.
+with or without a workspace.
 
 The projection shifts each customer's column uniformly by its excess
 over the daily total and sorts only the columns where that shift drives
@@ -48,11 +44,6 @@ from __future__ import annotations
 import numpy as np
 
 LEMMA1_MARGIN = 1e-6  # es_direction clamps a share of (1/2 - this) load
-
-# te_phase steps about this many bytes of each T x N array at a time,
-# enough rows that one op carries each block, few enough that the blocks
-# of the three arrays it streams stay in a 2 MiB L2 cache together
-_BLOCK_BYTES = 1 << 19
 
 
 def _per_slot(v):
@@ -246,41 +237,9 @@ def te_phase(chi, base, w, alpha, load, totals, q, eta2, *, out=None,
     utility slope is taken. Each is allocated when needed and not
     given; neither may overlap ``chi`` or the other. Once they are
     given, a call allocates only a few per-customer vectors.
-
-    The gradient and the step run a block of slots (rows) at a time,
-    the block's rows of ``chi``, ``base`` and ``out`` about
-    ``_BLOCK_BYTES`` each, so that they stay in cache from one op to the
-    next; the projection then runs once on the whole array. Each op of
-    the step is elementwise within a slot, so the blocks give the bits
-    of a single pass. Up to N = 1,000 at T = 24 one block holds every
-    slot.
     """
-    if out is None:
-        out = np.empty(np.shape(chi))
-    if live and scratch is None:
-        scratch = np.empty(np.shape(chi))
-    t, n = out.shape
-    step = max(1, _BLOCK_BYTES // (8 * n)) if n else t
-    if step >= t:  # one block, taken whole: slicing costs microseconds
-        _step(chi, base, w, alpha, load, totals, eta2, out, scratch, live)
-    else:
-        for lo in range(0, t, step):
-            rows = slice(lo, lo + step)
-            _step(*(_rows(a, rows) for a in (chi, base, w, alpha, load,
-                                              totals, eta2, out, scratch)),
-                  live)
-    return project_rows_np(out, q, out=out)
-
-
-def _step(chi, base, w, alpha, load, totals, eta2, out, x, live):
-    """chi + eta2 * te_gradient(...), written to ``out``, with ``x`` the
-    gradient's scratch."""
-    te_gradient(chi, base, w, alpha, load, totals, out=out, x=x, live=live)
+    out = te_gradient(chi, base, w, alpha, load, totals, out=out,
+                      x=scratch, live=live)
     out *= _per_slot(eta2)
     out += chi
-
-
-def _rows(a, rows):
-    """The slots ``rows`` of a T x N array or a per-slot vector; a
-    scalar, or None, as it is."""
-    return a[rows] if np.ndim(a) else a
+    return project_rows_np(out, q, out=out)

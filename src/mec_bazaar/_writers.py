@@ -2,12 +2,13 @@
 
 Each output is laid out as text a block of about a thousand lines or
 values at a time, its strings joined once and written with one write,
-so what a writer holds does not grow with the market. A block of floats
-(a float64 array, or a list of floats) whose values are all zero or
-finite with magnitude in [1e-4, 1e16) is spelled by orjson, whose
-shortest round-trip digits and positional notation there are those of
-``repr``; any other block is spelled by ``repr`` (or by json's C
-encoder, which spells a float alike). ``scenario_io`` writes scenario
+so what a writer holds does not grow with the market. A block of a
+float64 array whose values are all zero or finite with magnitude in
+[1e-4, 1e16) is spelled by orjson, whose shortest round-trip digits and
+positional notation there are those of ``repr``; any other block is
+spelled by ``repr`` (or by json's C encoder, which spells a float
+alike). The JSON writers stream only arrays: a list, like any other
+value, is written whole by ``json.dumps``. ``scenario_io`` writes scenario
 files and the result bundle with them, ``metrics_report.emit`` the
 report and its figures, and ``cli`` the run manifest and the oracle
 report.
@@ -22,14 +23,12 @@ import orjson
 
 __all__ = ["write_json", "write_indented_json", "write_table", "write_grid"]
 
-# At most about this many lines (or list elements, or table values) of an
+# At most about this many lines (or array elements, or table values) of an
 # output are laid out as text at once: enough that one join and one write
 # carry each block, few enough that its strings stay far below the arrays.
 _BLOCK_LINES = 1000
 
-# A list whose elements all have one of these types is written through
-# the C encoder, one element a line at the indent of a top-level value.
-_SCALARS = frozenset({float, int, bool, str, type(None)})
+# the C encoder, one element a line at the indent of a top-level value
 _ELEMENTS = json.JSONEncoder(separators=(",\n  ", ": ")).encode
 _ENCODE = json.JSONEncoder().encode
 
@@ -38,23 +37,13 @@ def _open_text(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _values(block) -> list:
-    """A block of a list, a range or an array as Python values."""
-    return block.tolist() if isinstance(block, np.ndarray) else block
-
-
 def _spelled(block) -> str | None:
-    """orjson's compact JSON text of ``block``, a non-empty float64 array
-    or list of floats, when each of its values is zero or finite with
-    magnitude in [1e-4, 1e16): there orjson spells every float as
-    ``repr`` does. None for any other block."""
-    if isinstance(block, list):
-        if not all(type(v) is float for v in block):
-            return None
-        block = np.array(block)
-    elif not (isinstance(block, np.ndarray) and block.dtype == np.float64):
-        return None
-    if not block.size:
+    """orjson's compact JSON text of ``block``, a non-empty float64 array,
+    when each of its values is zero or finite with magnitude in
+    [1e-4, 1e16): there orjson spells every float as ``repr`` does. None
+    for any other block."""
+    if not (isinstance(block, np.ndarray) and block.dtype == np.float64
+            and block.size):
         return None
     magnitude = np.abs(block)
     if not (((magnitude >= 1e-4) & (magnitude < 1e16)) | (block == 0)).all():
@@ -67,29 +56,31 @@ def _cells(block) -> list:
     """The strings of a block of a 1-D array, a list or a range, each
     value as ``repr`` spells it."""
     text = _spelled(block)
-    if text is None:
-        return list(map(repr, _values(block)))
-    return text[1:-1].split(",")
+    if text is not None:
+        return text[1:-1].split(",")
+    if isinstance(block, np.ndarray):
+        block = block.tolist()
+    return list(map(repr, block))
 
 
 def write_json(fh, doc: dict) -> None:
     """Write ``doc`` to the text sink ``fh`` with the bytes of
-    ``json.dump(doc, fh)``, an array standing for its ``tolist()``. A list
-    or an array is written ``_BLOCK_LINES`` elements (or rows of about as
-    many values) at a time, anything else whole by ``json.dumps``."""
+    ``json.dump(doc, fh)``, an array standing for its ``tolist()``. An
+    array is written ``_BLOCK_LINES`` elements (or rows of about as many
+    values) at a time, anything else, lists included, whole by
+    ``json.dumps``."""
     fh.write("{")
     for n, (key, value) in enumerate(doc.items()):
         fh.write(f"{', ' if n else ''}{json.dumps(key)}: ")
-        if not isinstance(value, (list, np.ndarray)):
+        if not isinstance(value, np.ndarray):
             fh.write(json.dumps(value))
             continue
-        width = value[:1].size if isinstance(value, np.ndarray) else 1
-        step = max(1, _BLOCK_LINES // max(1, width))
+        step = max(1, _BLOCK_LINES // max(1, value[:1].size))
         fh.write("[")
         for lo in range(0, len(value), step):
             block = value[lo:lo + step]
             text = _spelled(block)
-            text = (_ENCODE(_values(block)) if text is None
+            text = (_ENCODE(block.tolist()) if text is None
                     else text.replace(",", ", "))
             fh.write(f"{', ' if lo else ''}{text[1:-1]}")
         fh.write("]")
@@ -100,17 +91,15 @@ def write_indented_json(path, doc: dict) -> None:
     """Write ``doc`` and a newline to ``path``, with the bytes of
     ``json.dump(doc, fh, indent=1)``.
 
-    A 1-D array value, or a list of scalars, is written at most
-    ``_BLOCK_LINES`` elements at a time; any other value goes through
-    ``json.dumps`` whole.
+    A 1-D array value is written at most ``_BLOCK_LINES`` elements at a
+    time; any other value, lists included, goes through ``json.dumps``
+    whole.
     """
     with _open_text(path) as fh:
         fh.write("{")
         for n, (key, value) in enumerate(doc.items()):
             fh.write(f"{',' if n else ''}\n {json.dumps(key)}: ")
-            if not (isinstance(value, np.ndarray) and value.ndim == 1
-                    or isinstance(value, list)
-                    and _SCALARS.issuperset(map(type, value))):
+            if not (isinstance(value, np.ndarray) and value.ndim == 1):
                 fh.write(json.dumps(value, indent=1).replace("\n", "\n "))
                 continue
             if not len(value):
@@ -119,7 +108,7 @@ def write_indented_json(path, doc: dict) -> None:
             for lo in range(0, len(value), _BLOCK_LINES):
                 block = value[lo:lo + _BLOCK_LINES]
                 text = _spelled(block)
-                text = (_ELEMENTS(_values(block)) if text is None
+                text = (_ELEMENTS(block.tolist()) if text is None
                         else text.replace(",", ",\n  "))
                 fh.write(f"{',' if lo else '['}\n  {text[1:-1]}")
             fh.write("\n ]")

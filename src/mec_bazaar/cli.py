@@ -346,9 +346,12 @@ def cmd_oracle(args) -> int:
         if (row_err > market_model.ROW_SUM_TOL or demand.min() < 0
                 or bids.min() < 0):
             report["passed"] = False
-        # served demand below zero has no utility, so no payoff to
-        # certify; feasibility has failed already
-        if (demand + scenario.base_demand).min() >= 0:
+        # served demand below zero has no utility, and a slot whose bid
+        # total a negative bid takes to zero or below has no price, so
+        # neither has a payoff to certify; feasibility has failed already
+        # (a slot whose bids are all zero is a degenerate market)
+        priced = bids.min() >= 0 or bids.sum(axis=0).min() > 0
+        if (demand + scenario.base_demand).min() >= 0 and priced:
             payoffs = market_model.compute_agent_economics(
                 demand, scenario.base_demand, bids, scenario.cost_coeffs,
                 scenario.utility_w, scenario.utility_alpha).te_payoff

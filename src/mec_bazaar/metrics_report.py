@@ -7,7 +7,7 @@ the full loop ``run_dtoa``), so the before/after comparison isolates the
 effect of demand shifting rather than of bid initialization.
 
 ``build_report`` builds the ``report.json`` document; ``emit`` writes it
-and the per-figure CSV tables drawn from its lists.
+and the per-figure CSV tables drawn from its series.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ def build_report(scenario: Scenario, baseline: BaselineResult,
                  runtime_seconds: float | None = None) -> dict:
     """The ``report.json`` document: every before/after comparison metric
     of a baseline and a solver result, per-customer and per-supplier
-    values as daily totals."""
+    values as daily totals. Each per-slot, per-customer or per-supplier
+    series is a float64 array, which ``emit`` writes as a JSON list."""
     before, after = baseline.economics, result.economics
     payout_before = before.te_payout.sum(axis=1)
     payout_after = after.te_payout.sum(axis=1)
@@ -105,14 +106,14 @@ def build_report(scenario: Scenario, baseline: BaselineResult,
             (payout_before - payout_after) / payout_before)),
         "total_profit_before": float(profit_before.sum()),
         "total_profit_after": float(profit_after.sum()),
-        "te_payout_before": payout_before.tolist(),
-        "te_payout_after": payout_after.tolist(),
-        "te_payoff_before": before.te_payoff.tolist(),
-        "te_payoff_after": after.te_payoff.tolist(),
-        "es_profit_before": profit_before.tolist(),
-        "es_profit_after": profit_after.tolist(),
-        "load_before": load_before.tolist(),
-        "load_after": load_after.tolist(),
+        "te_payout_before": payout_before,
+        "te_payout_after": payout_after,
+        "te_payoff_before": before.te_payoff,
+        "te_payoff_after": after.te_payoff,
+        "es_profit_before": profit_before,
+        "es_profit_after": profit_after,
+        "load_before": load_before,
+        "load_after": load_after,
     }
 
 
@@ -127,7 +128,7 @@ _FIGURES = (
 
 def emit(doc: dict, out_dir: str) -> dict:
     """Write a ``build_report`` document as report.json plus the
-    per-figure CSV tables drawn from its lists; return the paths
+    per-figure CSV tables drawn from its series; return the paths
     written."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {"report": os.path.join(out_dir, "report.json")}

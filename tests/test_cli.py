@@ -796,14 +796,15 @@ class TestOracle:
     @pytest.mark.parametrize("edit, code", [
         ("none", 0), ("zero all", 6), ("halve te 0", 6), ("negative", 6),
         ("below base", 6), ("no load", 6), ("negative bid", 6),
-        ("swap bids", 6)])
+        ("bid total below zero", 6), ("swap bids", 6)])
     def test_infeasible_demand_flagged(self, certified_market, tmp_path,
                                        edit, code):
         # the certified bundle passes; one whose rows miss shiftable_total,
         # or that moves demand below zero keeping its rows, or served
         # demand below zero keeping each slot's load, or a slot's load
         # below zero keeping the rows, must not; nor one that moves bid
-        # between suppliers keeping each slot's price
+        # between suppliers keeping each slot's price, nor one whose
+        # negative bid takes a slot's bid total below zero
         scn, run_dir = certified_market
         bundle = tmp_path / "bundle"
         bundle.mkdir()
@@ -836,6 +837,10 @@ class TestOracle:
                 # by twice as much: the slot's bid total stays
                 value[slot0[1]] += 2 * value[slot0[0]]
                 value[slot0[0]] *= -1
+            elif name == "bids.csv" and edit == "bid total below zero":
+                # supplier 0's bid at slot 0 is minus its rivals' and 1:
+                # the slot's bid total is -1, so it has no price
+                value[slot0[0]] = -(value[slot0[1:]].sum() + 1.0)
             elif name == "bids.csv" and edit == "swap bids":
                 value[slot0[:2]] = value[slot0[1::-1]]
             (bundle / name).write_text("\n".join(
@@ -856,8 +861,9 @@ class TestOracle:
         if edit in ("negative bid", "swap bids"):
             assert doc["slots"]["0"]["price_gap"] < 1e-3
             assert doc["best_response"]["worst_relative_gain"] < 1e-3
-        if edit in ("below base", "no load"):
-            # negative served demand has no utility, so no payoff to certify
+        if edit in ("below base", "no load", "bid total below zero"):
+            # negative served demand has no utility, and a slot whose bid
+            # total is not positive no price, so no payoff to certify
             assert "best_response" not in doc
             assert out.stderr == ""
         if edit == "no load":

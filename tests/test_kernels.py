@@ -510,26 +510,15 @@ class TestWorkspace:
             assert peak < 0.5 * chi.nbytes
 
 
-class TestSlotBlocks:
-    """On a T x N array larger than ``_BLOCK_BYTES`` a row (slot) block,
-    ``te_phase`` steps a block of slots at a time and gives the bits of
-    the step composed in one pass over the whole array."""
-
-    @staticmethod
-    def one_pass(chi, base, w, alpha, load, totals, q, eta2, live):
-        out = _kernels.te_gradient(chi, base, w, alpha, load, totals,
-                                   live=live)
-        out *= column(eta2)
-        out += chi
-        return _kernels.project_rows_np(out, q, out=out)
+class TestWideMarket:
+    """On a wide T x N market (N = 10,007 customers over 25 slots) mixing
+    every kind of column, ``te_phase`` gives the bits of the reference
+    step, with and without a workspace, and leaves its inputs alone."""
 
     @pytest.mark.parametrize("kinds", [DEAD, LIVENESS])
     @pytest.mark.parametrize("per_slot", [False, True])
-    def test_same_bits_as_one_pass(self, kinds, per_slot):
-        # 25 slots of 80 KB: blocks of 6, 6, 6, 6 and 1 slots
+    def test_same_bits_as_reference(self, kinds, per_slot):
         t, n = 25, 10_007
-        step = _kernels._BLOCK_BYTES // (8 * n)
-        assert 1 < step < t and t % step
         rng = np.random.default_rng(len(kinds) + 2 * per_slot)
         args, live_mask = mixed_market(rng, n, t, kinds)
         chi = args[0]
@@ -543,7 +532,7 @@ class TestSlotBlocks:
         eta2 = rng.uniform(0.5, 2.0, size=t) if per_slot else 0.7
         before = [a.copy() for a in (*args, q)]
         with np.errstate(over="ignore", invalid="ignore"):
-            want = self.one_pass(*args, q, eta2, live)
+            want = te_phase_reference(*args, q, eta2)
             assert_same_bits(_kernels.te_phase(*args, q, eta2, live=live),
                              want)
             out, scratch = dirty(chi, 2)

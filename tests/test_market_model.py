@@ -12,7 +12,7 @@ from mec_bazaar.errors import (
     DimensionError,
     DomainError,
 )
-from mec_bazaar import market_model
+from mec_bazaar import _kernels, _writers, market_model
 from mec_bazaar.market_model import (
     SolverConfig,
     compute_agent_economics,
@@ -330,18 +330,23 @@ class TestScenarioValidation:
             SolverConfig(epsilon=10 ** 400).validate()
 
 
-def test_every_exported_function_is_used_by_the_package():
-    """Each function ``market_model`` exports is imported or referenced by
-    another module of the package: no second copy of an economic quantity
-    lives on for the tests alone."""
-    package = Path(market_model.__file__).parent
-    own = ast.parse((package / "market_model.py").read_text())
-    exported = {node.name for node in own.body
+@pytest.mark.parametrize("module", [market_model, _writers, _kernels],
+                         ids=lambda m: m.__name__.rpartition(".")[2])
+def test_every_exported_function_is_used_by_the_package(module):
+    """Each function ``module`` exports (those named in its ``__all__``,
+    or its public top-level functions where it has none) is imported or
+    referenced by another module of the package: no second copy of an
+    economic quantity, a kernel or a writer lives on for the tests
+    alone."""
+    own = Path(module.__file__)
+    public = getattr(module, "__all__", None)
+    exported = {node.name for node in ast.parse(own.read_text()).body
                 if isinstance(node, ast.FunctionDef)
-                and node.name in market_model.__all__}
+                and (node.name in public if public is not None
+                     else not node.name.startswith("_"))}
     used = set()
-    for path in package.glob("*.py"):
-        if path.name == "market_model.py":
+    for path in own.parent.glob("*.py"):
+        if path == own:
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.alias):
@@ -350,5 +355,5 @@ def test_every_exported_function_is_used_by_the_package():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert exported, "market_model exports no function"
+    assert exported, f"{module.__name__} exports no function"
     assert sorted(exported - used) == []

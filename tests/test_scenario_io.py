@@ -674,6 +674,111 @@ class TestCompanion:
         assert sorted(os.listdir(scenario_path.parent)) == \
             ["s.json", "s.json.cache"]
 
+    # save_result spells chi_before of demands.csv from the scenario's
+    # initial demand, whatever the scenario's companion holds: a scenario
+    # loaded through a companion that is missing, damaged, or in the
+    # older layout with a trailing text record of the initial demand
+    # writes the bytes of one loaded from the JSON
+    BUNDLE_PARAMS = GenerationParams(
+        num_te=7, num_es=3, num_slots=4, seed=2,
+        solver=SolverConfig(max_iterations=5))
+
+    @pytest.fixture
+    def loaded(self, tmp_path):
+        from mec_bazaar.bidding_games import run_dtoa
+        path = tmp_path / "s.json"
+        save_scenario(path, generate_scenario(self.BUNDLE_PARAMS),
+                      self.BUNDLE_PARAMS)
+        shutil.copy(path, tmp_path / "cold.json")
+        scenario = load_scenario(tmp_path / "cold.json")
+        result = run_dtoa(scenario)
+        save_result(tmp_path / "want", result, scenario)
+        want = (tmp_path / "want" / "demands.csv").read_bytes()
+        return path, result, want
+
+    def demands(self, tmp_path, loaded, tag) -> bytes:
+        path, result, _ = loaded
+        save_result(tmp_path / tag, result, load_scenario(path))
+        return (tmp_path / tag / "demands.csv").read_bytes()
+
+    @staticmethod
+    def with_text(path, text: bytes) -> None:
+        """Rewrite the companion of ``path`` in the older layout: the
+        header names the size of a last record holding ``text``."""
+        records = _read_records(companion(path))
+        header = json.loads(records[0].tobytes())
+        header["initial_demand_json"] = len(text)
+        records[0] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+        _write_records(companion(path),
+                       [*records, np.frombuffer(text, np.uint8)])
+
+    @pytest.mark.parametrize("text", [
+        "[[1.0, 2.0, 3.0, 4.0]]",                      # too few rows
+        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 8) + "]",  # too many
+        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 6
+                        + ["[1.0, 2.0, 3.0, 4.0, 5.0]"]) + "]",
+        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 6
+                        + ["[1.0, 2.0, 3.0]"]) + "]",
+        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0, 5.0]", "[1.0, 2.0, 3.0]"]
+                        + ["[1.0, 2.0, 3.0, 4.0]"] * 5) + "]",
+        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 7) + "",  # not closed
+        " " + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 7) + "]",  # not opened
+        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.é]"] * 7) + "]",
+    ])
+    def test_older_layout_loads_its_tables(self, tmp_path, loaded, text):
+        """A whole companion in the older layout whose text is not the
+        initial demand: the scenario loads from the companion's tables
+        and the text is not read."""
+        path, _, want = loaded
+        self.with_text(path, text.encode())
+        with _parsed_loads() as spy:
+            assert self.demands(tmp_path, loaded, "other") == want
+        assert spy.call_count == 0
+
+    @pytest.mark.parametrize("damage", ["no companion", "cut short",
+                                        "other digest", "older"])
+    def test_missing_damaged_or_older_loads_alike(self, tmp_path, loaded,
+                                                  damage):
+        path, _, want = loaded
+        blob = open(companion(path), "rb").read()
+        if damage == "no companion":
+            os.remove(companion(path))
+        elif damage == "cut short":
+            with open(companion(path), "wb") as fh:
+                fh.write(blob[:-7])
+        elif damage == "older":
+            text = json.dumps(json.loads(path.read_text())["initial_demand"])
+            self.with_text(path, text.encode())
+        else:
+            records = _read_records(companion(path))
+            header = json.loads(records[0].tobytes())
+            header["sha256"] = hashlib.sha256(b"other").hexdigest()
+            records[0] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+            _write_records(companion(path), records)
+        with _parsed_loads() as spy:
+            assert self.demands(tmp_path, loaded, damage) == want
+        # only a whole companion for these bytes spares the JSON parse
+        assert spy.call_count == (0 if damage == "older" else 1)
+
+    def test_bundle_peak_after_companion_load_flat_in_n(self, tmp_path):
+        """demands.csv is spelled a block at a time: from N=2,000 to
+        N=8,000 (about 1 MB more text) the peak of saving the bundle of
+        a scenario loaded from its companion grows by less than 64 KiB."""
+        from mec_bazaar.bidding_games import run_dtoa
+        peak = {}
+        for n in (2000, 8000):
+            params = GenerationParams(num_te=n, seed=1,
+                                      solver=SolverConfig(max_iterations=3))
+            path = tmp_path / f"s{n}.json"
+            save_scenario(path, generate_scenario(params), params)
+            with _parsed_loads() as spy:
+                scenario = load_scenario(path)
+            assert spy.call_count == 0
+            result = run_dtoa(scenario)
+            peak[n] = traced_peak(save_result, tmp_path / str(n), result,
+                                  scenario)
+        assert peak[8000] - peak[2000] < 1 << 16
+
 
 # --------------------------------------------------------------------------
 # Memory: one table at a time
@@ -765,109 +870,3 @@ class TestResultBundle:
         p2 = save_result(tmp_path / "o2", res, s)
         for key in p1:
             assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
-
-
-class TestDemandText:
-    """``save_result`` spells ``chi_before`` of demands.csv from the
-    scenario's initial demand, whatever the scenario's companion holds:
-    a scenario loaded through a companion that is missing, damaged, or
-    in the older layout with a trailing text record of the initial
-    demand writes the bytes of one loaded from the JSON."""
-
-    PARAMS = GenerationParams(num_te=7, num_es=3, num_slots=4, seed=2,
-                              solver=SolverConfig(max_iterations=5))
-
-    @pytest.fixture
-    def loaded(self, tmp_path):
-        from mec_bazaar.bidding_games import run_dtoa
-        path = tmp_path / "s.json"
-        save_scenario(path, generate_scenario(self.PARAMS), self.PARAMS)
-        shutil.copy(path, tmp_path / "cold.json")
-        scenario = load_scenario(tmp_path / "cold.json")
-        result = run_dtoa(scenario)
-        save_result(tmp_path / "want", result, scenario)
-        want = (tmp_path / "want" / "demands.csv").read_bytes()
-        return path, result, want
-
-    def demands(self, tmp_path, loaded, tag) -> bytes:
-        path, result, _ = loaded
-        save_result(tmp_path / tag, result, load_scenario(path))
-        return (tmp_path / tag / "demands.csv").read_bytes()
-
-    @staticmethod
-    def with_text(path, text: bytes) -> None:
-        """Rewrite the companion of ``path`` in the older layout: the
-        header names the size of a last record holding ``text``."""
-        records = _read_records(companion(path))
-        header = json.loads(records[0].tobytes())
-        header["initial_demand_json"] = len(text)
-        records[0] = np.frombuffer(json.dumps(header).encode(), np.uint8)
-        _write_records(companion(path),
-                       [*records, np.frombuffer(text, np.uint8)])
-
-    @pytest.mark.parametrize("text", [
-        "[[1.0, 2.0, 3.0, 4.0]]",                      # too few rows
-        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 8) + "]",  # too many
-        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 6
-                        + ["[1.0, 2.0, 3.0, 4.0, 5.0]"]) + "]",
-        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 6
-                        + ["[1.0, 2.0, 3.0]"]) + "]",
-        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0, 5.0]", "[1.0, 2.0, 3.0]"]
-                        + ["[1.0, 2.0, 3.0, 4.0]"] * 5) + "]",
-        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 7) + "",  # not closed
-        " " + ", ".join(["[1.0, 2.0, 3.0, 4.0]"] * 7) + "]",  # not opened
-        "[" + ", ".join(["[1.0, 2.0, 3.0, 4.é]"] * 7) + "]",
-    ])
-    def test_other_text_spelled_afresh(self, tmp_path, loaded, text):
-        """A whole companion in the older layout whose text is not the
-        initial demand: the scenario loads from the companion's tables
-        and the text is not read."""
-        path, _, want = loaded
-        self.with_text(path, text.encode())
-        with _parsed_loads() as spy:
-            assert self.demands(tmp_path, loaded, "other") == want
-        assert spy.call_count == 0
-
-    @pytest.mark.parametrize("damage", ["no companion", "cut short",
-                                        "other digest", "older"])
-    def test_spelled_afresh_without_the_text(self, tmp_path, loaded,
-                                             damage):
-        path, _, want = loaded
-        blob = open(companion(path), "rb").read()
-        if damage == "no companion":
-            os.remove(companion(path))
-        elif damage == "cut short":
-            with open(companion(path), "wb") as fh:
-                fh.write(blob[:-7])
-        elif damage == "older":
-            text = json.dumps(json.loads(path.read_text())["initial_demand"])
-            self.with_text(path, text.encode())
-        else:
-            records = _read_records(companion(path))
-            header = json.loads(records[0].tobytes())
-            header["sha256"] = hashlib.sha256(b"other").hexdigest()
-            records[0] = np.frombuffer(json.dumps(header).encode(), np.uint8)
-            _write_records(companion(path), records)
-        with _parsed_loads() as spy:
-            assert self.demands(tmp_path, loaded, damage) == want
-        # only a whole companion for these bytes spares the JSON parse
-        assert spy.call_count == (0 if damage == "older" else 1)
-
-    def test_peak_does_not_grow_with_n(self, tmp_path):
-        """demands.csv is spelled a block at a time: from N=2,000 to
-        N=8,000 (about 1 MB more text) the peak of saving the bundle of
-        a scenario loaded from its companion grows by less than 64 KiB."""
-        from mec_bazaar.bidding_games import run_dtoa
-        peak = {}
-        for n in (2000, 8000):
-            params = GenerationParams(num_te=n, seed=1,
-                                      solver=SolverConfig(max_iterations=3))
-            path = tmp_path / f"s{n}.json"
-            save_scenario(path, generate_scenario(params), params)
-            with _parsed_loads() as spy:
-                scenario = load_scenario(path)
-            assert spy.call_count == 0
-            result = run_dtoa(scenario)
-            peak[n] = traced_peak(save_result, tmp_path / str(n), result,
-                                  scenario)
-        assert peak[8000] - peak[2000] < 1 << 16
