@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import orjson
 
 __all__ = ["write_json", "write_indented_json", "write_table", "write_grid"]
 
@@ -48,6 +47,10 @@ def _spelled(block) -> str | None:
     magnitude = np.abs(block)
     if not (((magnitude >= 1e-4) & (magnitude < 1e16)) | (block == 0)).all():
         return None
+    # imported here, by its one user: orjson's extension imports uuid,
+    # platform and zoneinfo, which ``--version`` and ``oracle``, writing
+    # no float array, need not load
+    import orjson
     return orjson.dumps(np.ascontiguousarray(block),
                         option=orjson.OPT_SERIALIZE_NUMPY).decode()
 

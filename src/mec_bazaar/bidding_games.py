@@ -201,8 +201,9 @@ def run_dtoa(scenario: Scenario) -> EquilibriumResult:
     for chi + base; on any other market the gradient is built in the
     spare alone. The workspace is released and the final demand
     transposed back to N x T before the market state and agent
-    economics are computed, which set the run's memory peak on a market
-    without live pairs.
+    economics are computed. The economics take the customers a block of
+    rows at a time, so on every market the loop's workspace sets the
+    run's memory peak.
 
     Whether any customer pair's utility can still slope up (``any_live``)
     is found once, before the workspace is allocated; on a market with

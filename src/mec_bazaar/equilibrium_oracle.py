@@ -325,8 +325,13 @@ def check_gradients(scenario: Scenario, n_samples: int = 100,
     agree = 0
     interior = 0
     guarded = 0
+    # one draw buffer for every sample, filled as rng.uniform(0.1, 1.0)
+    # fills a fresh one: the same stream and the same arithmetic
+    raw = np.empty((n, t_count))
     for _ in range(n_samples):
-        raw = rng.uniform(0.1, 1.0, size=(n, t_count))
+        rng.random(out=raw)
+        raw *= 1.0 - 0.1
+        raw += 0.1
         lam = scenario.solver.lambda_init * rng.uniform(0.5, 2.0,
                                                         size=(m, t_count))
         i = int(rng.integers(n))

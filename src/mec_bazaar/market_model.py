@@ -265,11 +265,25 @@ def compute_market_state(chi: np.ndarray, base: np.ndarray,
     return MarketState(load=load, price=price, supply=supply)
 
 
+# Customers' economics are evaluated in blocks of whole rows of about this
+# many bytes of float64, so their temporaries stay small beside the N x T
+# arrays.
+_BLOCK_BYTES = 1 << 16
+
+
 def compute_agent_economics(chi: np.ndarray, base: np.ndarray,
                             bids: np.ndarray, cost_coeffs: np.ndarray,
                             w: np.ndarray, alpha: np.ndarray,
                             state: MarketState | None = None) -> AgentEconomics:
-    """Evaluate all agents' economics at a fixed strategy profile."""
+    """Evaluate all agents' economics at a fixed strategy profile.
+
+    ``chi``, ``base``, ``w`` and ``alpha`` are N x T. The customers are
+    evaluated ``_BLOCK_BYTES // (8 T)`` rows at a time, each block's payout
+    written into the N x T ``te_payout``: every value passes through the
+    same operations as on the whole arrays and every payoff sums within
+    its own row, so the bits do not depend on the block size, while the
+    utility's temporaries are only a block's.
+    """
     if state is None:
         state = compute_market_state(chi, base, bids)
     a2 = cost_coeffs[:, 0][:, None]
@@ -278,9 +292,17 @@ def compute_agent_economics(chi: np.ndarray, base: np.ndarray,
     revenue = state.supply * state.price[None, :]
     cost = a2 * state.supply ** 2 + a1 * state.supply + a0
     profit = revenue - cost
-    x = np.asarray(chi, dtype=float) + np.asarray(base, dtype=float)
-    payout = x * state.price[None, :]
-    utility = te_utility(w, alpha, x)
-    payoff = (utility - payout).sum(axis=1)
+    chi = np.asarray(chi, dtype=float)
+    base = np.asarray(base, dtype=float)
+    n, t_count = chi.shape
+    payout = np.empty((n, t_count))
+    payoff = np.empty(n)
+    rows = max(1, _BLOCK_BYTES // (8 * max(t_count, 1)))
+    for lo in range(0, n, rows):
+        block = slice(lo, lo + rows)
+        x = chi[block] + base[block]
+        np.multiply(x, state.price[None, :], out=payout[block])
+        utility = te_utility(w[block], alpha[block], x)
+        payoff[block] = (utility - payout[block]).sum(axis=1)
     return AgentEconomics(es_profit=profit, es_revenue=revenue,
                           te_payout=payout, te_payoff=payoff)

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import traced_peak
+
 from mec_bazaar.errors import (
     DegenerateMarketError,
     DimensionError,
@@ -242,6 +244,65 @@ class TestTePayoutPayoff:
                         else w[i, k] ** 2 / (2 * alpha[i, k]))
                 expected += util - x * price
             assert got[i] == pytest.approx(expected, rel=1e-12)
+
+
+def economics_reference(chi, base, bids, coeffs, w, alpha):
+    """Every agent's economics as whole-array expressions: profit,
+    revenue, payout and payoff."""
+    state = compute_market_state(chi, base, bids)
+    a2, a1, a0 = (coeffs[:, k][:, None] for k in range(3))
+    revenue = state.supply * state.price[None, :]
+    cost = a2 * state.supply ** 2 + a1 * state.supply + a0
+    x = chi + base
+    payout = x * state.price[None, :]
+    utility = np.where(x <= w / alpha, w * x - 0.5 * alpha * x * x,
+                       w * w / (2.0 * alpha))
+    return revenue - cost, revenue, payout, (utility - payout).sum(axis=1)
+
+
+class TestEconomicsBlocks:
+    """``compute_agent_economics`` takes the customers a block of rows
+    at a time; the block edges must not show in any bit."""
+
+    SLOTS = 24
+    ROWS = market_model._BLOCK_BYTES // (8 * SLOTS)
+
+    @pytest.fixture(scope="class", params=["saturated", "live pairs"])
+    def market(self, request):
+        extra = {} if request.param == "saturated" else {
+            "w_range": (5000.0, 20000.0)}
+        s = generate_scenario(GenerationParams(
+            num_te=2 * self.ROWS + 3, num_slots=self.SLOTS, seed=4, **extra))
+        bids = np.random.default_rng(9).uniform(
+            100.0, 300.0, size=(s.num_es, self.SLOTS))
+        return s, bids
+
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1,
+                                   2 * ROWS + 3])
+    def test_same_bits_as_whole_arrays(self, market, n):
+        s, bids = market
+        args = (s.initial_demand[:n], s.base_demand[:n], bids,
+                s.cost_coeffs, s.utility_w[:n], s.utility_alpha[:n])
+        got = compute_agent_economics(*args)
+        want = economics_reference(*args)
+        for name, value in zip(("es_profit", "es_revenue", "te_payout",
+                                "te_payoff"), want):
+            np.testing.assert_array_equal(getattr(got, name), value,
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("n", [2000, 8000])
+    def test_memory_above_outputs(self, n):
+        # beside its outputs (the N x T payout, the N payoffs and the
+        # suppliers' M x T arrays) the call holds a block's temporaries,
+        # whatever N is; it reads 461 KiB at both sizes
+        s = generate_scenario(GenerationParams(num_te=n, seed=1))
+        bids = np.full((s.num_es, s.num_slots), s.solver.lambda_init)
+        state = compute_market_state(s.initial_demand, s.base_demand, bids)
+        peak = traced_peak(compute_agent_economics, s.initial_demand,
+                           s.base_demand, bids, s.cost_coeffs, s.utility_w,
+                           s.utility_alpha, state)
+        outputs = 8 * (n * s.num_slots + n + 2 * bids.size)
+        assert peak - outputs <= 10 * market_model._BLOCK_BYTES
 
 
 class TestInvariants:

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
+
 from mec_bazaar import _kernels
 from mec_bazaar.bidding_games import run_dtoa
 from mec_bazaar.equilibrium_oracle import (
     GradientCheckReport,
+    _rel_err,
     best_response,
     check_gradients,
     psi,
@@ -19,7 +22,7 @@ from mec_bazaar.errors import (
     NoEquilibriumError,
     TwoSupplierMarketError,
 )
-from mec_bazaar.market_model import Scenario, SolverConfig
+from mec_bazaar.market_model import Scenario, SolverConfig, te_utility
 from mec_bazaar.scenario_io import GenerationParams, generate_scenario
 
 
@@ -277,3 +280,84 @@ class TestCheckGradients:
             num_te=5, num_es=3, num_slots=3, seed=1))
         with pytest.raises(DomainError):
             check_gradients(s, n_samples=0)
+
+    def test_memory_near_one_draw(self):
+        # every sample refills one (N, T) draw; a fresh draw per sample
+        # would sit beside the last one until it is replaced. After a
+        # warm-up call, whose first use of numpy's modules tracemalloc
+        # would count, it reads 1.15x N x T bytes
+        s = generate_scenario(GenerationParams(
+            num_te=2000, seed=3, w_range=(5000.0, 20000.0)))
+        check_gradients(s, n_samples=2, seed=0)
+        peak = traced_peak(check_gradients, s, n_samples=10, seed=0)
+        assert peak <= 1.5 * s.initial_demand.nbytes
+
+    @pytest.mark.parametrize("market, samples, seed", [
+        (dict(seed=3), 40, 11),
+        (dict(num_te=10, num_es=3, num_slots=4, seed=12), 30, 0),
+        (dict(num_te=200, num_es=5, num_slots=6, seed=2,
+              w_range=(5000.0, 20000.0)), 25, 7)])
+    def test_same_report_as_fresh_draws(self, market, samples, seed):
+        s = generate_scenario(GenerationParams(**market))
+        assert check_gradients(s, samples, seed) == fresh_draw_report(
+            s, samples, seed)
+
+
+def fresh_draw_report(scenario, n_samples, seed):
+    """``check_gradients`` with each sample's state drawn into a fresh
+    array by ``rng.uniform(0.1, 1.0, size=(n, T))``."""
+    rng = np.random.default_rng(seed)
+    n, m, t_count = scenario.num_te, scenario.num_es, scenario.num_slots
+    base, w, alpha = (scenario.base_demand, scenario.utility_w,
+                      scenario.utility_alpha)
+    a2, a1, a0 = scenario.cost_coeffs.T
+    max_te = max_es = 0.0
+    agree = interior = guarded = 0
+    for _ in range(n_samples):
+        raw = rng.uniform(0.1, 1.0, size=(n, t_count))
+        lam = scenario.solver.lambda_init * rng.uniform(0.5, 2.0,
+                                                        size=(m, t_count))
+        i, j, t = (int(rng.integers(k)) for k in (n, m, t_count))
+        chi = raw[:, t] * (scenario.shiftable_total / raw.sum(axis=1))
+        col = lam[:, t]
+        total = col.sum()
+        load = float((chi + base[:, t]).sum())
+        other = load - chi[i] - base[i, t]
+
+        def slot_payoff(v):
+            x = v + base[i, t]
+            price = (other + x) / total
+            return te_utility(w[i, t], alpha[i, t], x) - x * price
+
+        h = 1e-7 * (1.0 + abs(chi[i]))
+        fd = (slot_payoff(chi[i] + h) - slot_payoff(chi[i] - h)) / (2 * h)
+        analytic = float(_kernels.te_gradient(
+            chi[i], base[i, t], w[i, t], alpha[i, t], load, total))
+        max_te = max(max_te, _rel_err(analytic, fd))
+
+        def profit_at(v):
+            c = col.copy()
+            c[j] = v
+            total_v = c.sum()
+            f = c[j] * load / total_v
+            return float(c[j] * load * load / (total_v * total_v)
+                         - (a2[j] * f * f + a1[j] * f + a0[j]))
+
+        hl = 1e-6 * col[j]
+        fd_p = (profit_at(col[j] + hl) - profit_at(col[j] - hl)) / (2 * hl)
+        surrogate = float(_kernels.es_direction(
+            lam[:, t:t + 1], load, a2, a1)[j, 0])
+        f_j = col[j] * load / total
+        if f_j < (0.5 - _kernels.LEMMA1_MARGIN) * load:
+            interior += 1
+            max_es = max(max_es, _rel_err(
+                (load - 2.0 * f_j) / total * surrogate, fd_p))
+            near_zero = (abs(surrogate) < 1e-9 * max(1.0, load / total)
+                         and abs(fd_p) < 1e-9)
+            agree += bool(np.sign(surrogate) == np.sign(fd_p) or near_zero)
+        else:
+            guarded += 1
+    return GradientCheckReport(
+        max_te_rel_err=max_te, max_es_rel_err=max_es,
+        sign_agreement=agree / interior if interior else 1.0,
+        interior_samples=interior, guarded_samples=guarded)
